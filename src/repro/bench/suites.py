@@ -1,10 +1,9 @@
 """The gated benchmark suites: fleet day, Fig. 13 sweep, and a scenario.
 
 ``bench_fleet_day`` times the same simulated day twice — once as the
-scalar, monolithic, single-process baseline and once sharded over fixed
-cells with the vectorized backend free to engage — checks that every
-shard count yields the *same* event-log SHA-256, and appends both wall
-times (plus the speedup ratio) to ``BENCH_fleet.json``.
+monolithic, single-process baseline and once sharded over fixed cells —
+checks that every shard count yields the *same* event-log SHA-256, and
+appends both wall times (plus the speedup ratio) to ``BENCH_fleet.json``.
 
 ``bench_fleet_region`` is the region-scale variant: ≥1k servers and
 ≥100k jobs sharded over fixed cells with the shared settle-cache disk
@@ -37,7 +36,6 @@ import tempfile
 import time
 from typing import Any, Dict, Optional, Sequence
 
-from ..chip.power import set_power_backend
 from ..errors import SchedulingError
 from ..fleet.engine import FleetConfig, FleetSimulation, clear_fleet_memos
 from ..fleet.settle_cache import configure_fleet_settle_cache, fleet_settle_cache
@@ -81,11 +79,11 @@ def bench_fleet_day(
 ) -> Dict[str, Any]:
     """Time the fleet day, verify shard-count SHA identity, record trend.
 
-    The baseline runs first, cold, with the scalar power backend forced
-    and the monolithic (single-cell, single-process) engine — the
-    "before" configuration.  The sharded runs follow; any memo warmth
-    they inherit from the baseline is part of the "after" story, since
-    a long-lived process is exactly where the memos pay off.
+    The baseline runs first, cold, on the monolithic (single-cell,
+    single-process) engine — the "before" configuration.  The sharded
+    runs follow; any memo warmth they inherit from the baseline is part
+    of the "after" story, since a long-lived process is exactly where
+    the memos pay off.
     """
     config = FleetConfig(
         n_servers=n_servers,
@@ -115,13 +113,7 @@ def bench_fleet_day(
     baseline_wall = None
     if baseline:
         clear_fleet_memos()  # the baseline must be genuinely cold
-        previous = set_power_backend("scalar")
-        try:
-            base_result, baseline_wall = _timed(
-                lambda: FleetSimulation(config).run()
-            )
-        finally:
-            set_power_backend(previous)
+        base_result, baseline_wall = _timed(lambda: FleetSimulation(config).run())
         report["baseline_wall_seconds"] = baseline_wall
         report["baseline_digest"] = base_result.event_log_hash
         report["n_jobs"] = base_result.n_arrivals

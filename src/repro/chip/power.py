@@ -17,56 +17,13 @@ measures, with an idle-but-clocked chip near 55 W.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from ..config import ChipConfig
 
 #: Reference voltage for the leakage power normalization (V).
 LEAKAGE_VREF = 1.2
-
-#: Socket width at or above which :meth:`PowerModel.chip_power` switches
-#: from the per-core Python loop to the numpy array backend.  Profiling
-#: shows numpy's per-call overhead dominates at the POWER7+'s width of
-#: eight; the array path wins from roughly this width up.
-ARRAY_BACKEND_MIN_CORES = 16
-
-#: Process-wide backend override (see :func:`set_power_backend`).
-_BACKEND_OVERRIDE: Optional[str] = None
-
-#: Environment override, read when no programmatic override is set.
-BACKEND_ENV_VAR = "REPRO_POWER_BACKEND"
-
-_BACKENDS = ("scalar", "array")
-
-
-def set_power_backend(backend: Optional[str]) -> Optional[str]:
-    """Force the per-core evaluation backend process-wide.
-
-    ``"scalar"`` / ``"array"`` pin a backend regardless of socket width;
-    ``None`` restores width-based auto selection.  Returns the previous
-    override so tests can restore it.  Both backends are bit-identical
-    (enforced by test) — the switch only trades constant factors.
-    """
-    global _BACKEND_OVERRIDE
-    if backend is not None and backend not in _BACKENDS:
-        raise ValueError(
-            f"backend must be one of {_BACKENDS} or None, got {backend!r}"
-        )
-    previous = _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = backend
-    return previous
-
-
-def power_backend_for(n_cores: int) -> str:
-    """The backend :meth:`PowerModel.chip_power` will use at this width."""
-    override = _BACKEND_OVERRIDE or os.environ.get(BACKEND_ENV_VAR)
-    if override in _BACKENDS:
-        return override
-    return "array" if n_cores >= ARRAY_BACKEND_MIN_CORES else "scalar"
 
 
 @dataclass(frozen=True)
@@ -93,6 +50,74 @@ class PowerBreakdown:
         return self.core_dynamic[core_id] + self.core_leakage[core_id]
 
 
+class PreparedPower:
+    """The power model with one occupancy's and temperature's constants
+    hoisted: Ceff·activity per core, gate residuals, the leakage
+    temperature factor, the uncore activity.  Its methods take per-core
+    voltages and frequencies as plain floats and are the only place the
+    power formulas live; :class:`PowerModel` wraps them.
+
+    Only leading factors are hoisted, so every product keeps its
+    left-to-right order (``Ceff·a·V·V·f`` is ``((Ceff·a)·V·V)·f``) and is
+    bit-identical to the unhoisted one.  A gated core has dynamic
+    coefficient 0.0 and a trailing leakage factor of the gate residual;
+    an ungated core's trailing 1.0 is exact.
+    """
+
+    def __init__(
+        self,
+        config: ChipConfig,
+        dynamic: Sequence[float],
+        gated: Sequence[bool],
+        temperature: float,
+        n_active: int,
+    ) -> None:
+        self._dynamic = list(dynamic)
+        self._residual = [config.power_gate_residual if g else 1.0 for g in gated]
+        self._ungated = [not g for g in gated]
+        self._k = config.leakage_voltage_exponent
+        self._t_scale = max(
+            1.0 + config.leakage_temp_coeff * (temperature - config.leakage_temp_ref),
+            0.1,
+        )
+        self._core_leakage = config.core_leakage_nominal
+        self._uncore_dynamic = config.uncore_ceff * (
+            config.uncore_activity_idle + config.uncore_activity_per_core * n_active
+        )
+        self._uncore_leakage = config.uncore_leakage_nominal
+        self._f_min = config.f_min
+
+    def core_dynamic(
+        self, voltages: Sequence[float], frequencies: Sequence[float]
+    ) -> List[float]:
+        """Per-core dynamic power (W): ``Ceff · activity · V² · f``."""
+        return [c * v * v * f for c, v, f in zip(self._dynamic, voltages, frequencies)]
+
+    def core_leakage(self, voltages: Sequence[float]) -> List[float]:
+        """Per-core leakage (W); a per-element Python ``**`` (libm pow)."""
+        nominal, k, t_scale = self._core_leakage, self._k, self._t_scale
+        return [
+            nominal * (v / LEAKAGE_VREF) ** k * t_scale * r
+            for v, r in zip(voltages, self._residual)
+        ]
+
+    def uncore_voltage(self, voltages: Sequence[float]) -> float:
+        """Mean ungated-core voltage; the highest core voltage if all gated."""
+        ungated = [v for v, on in zip(voltages, self._ungated) if on]
+        return sum(ungated) / len(ungated) if ungated else max(voltages)
+
+    def uncore_frequency(self, frequencies: Sequence[float]) -> float:
+        """Nest clock: mean ungated-core frequency, ``f_min`` if all gated."""
+        ungated = [f for f, on in zip(frequencies, self._ungated) if on]
+        return sum(ungated) / len(ungated) if ungated else self._f_min
+
+    def uncore(self, voltage: float, frequency: float) -> Tuple[float, float]:
+        """(dynamic, leakage) uncore power (W) at the nest voltage and clock."""
+        dynamic = self._uncore_dynamic * voltage * voltage * frequency
+        v_scale = (voltage / LEAKAGE_VREF) ** self._k
+        return dynamic, self._uncore_leakage * v_scale * self._t_scale
+
+
 class PowerModel:
     """Computes a :class:`PowerBreakdown` from per-core operating state."""
 
@@ -104,18 +129,36 @@ class PowerModel:
         """The chip configuration this model was built from."""
         return self._config
 
+    def prepare(
+        self, activities: Sequence[float], gated: Sequence[bool], temperature: float
+    ) -> PreparedPower:
+        """Hoist the constants of one occupancy and temperature.
+
+        A powered-on core's activity must be >= 0; a gated core's
+        activity is never read.
+        """
+        cfg = self._config
+        dynamic = []
+        n_active = 0
+        for act, g in zip(activities, gated):
+            if g:
+                dynamic.append(0.0)
+                continue
+            if act < 0:
+                raise ValueError(f"activity must be >= 0, got {act}")
+            dynamic.append(cfg.core_ceff * act)
+            if act > cfg.idle_activity:
+                n_active += 1
+        return PreparedPower(cfg, dynamic, gated, temperature, n_active)
+
     def core_dynamic(self, activity: float, voltage: float, frequency: float) -> float:
         """Dynamic power (W) of one core at the given operating point."""
-        if activity < 0:
-            raise ValueError(f"activity must be >= 0, got {activity}")
-        return self._config.core_ceff * activity * voltage * voltage * frequency
+        prepared = self.prepare([activity], [False], self._config.leakage_temp_ref)
+        return prepared.core_dynamic([voltage], [frequency])[0]
 
     def core_leakage(self, voltage: float, temperature: float, gated: bool) -> float:
         """Leakage power (W) of one core; small residual when gated."""
-        leak = self._leakage(self._config.core_leakage_nominal, voltage, temperature)
-        if gated:
-            return leak * self._config.power_gate_residual
-        return leak
+        return self.prepare([0.0], [gated], temperature).core_leakage([voltage])[0]
 
     def uncore_power(
         self,
@@ -129,11 +172,8 @@ class PowerModel:
         ``frequency`` is the nest clock; we drive it with the mean core
         frequency, a reasonable stand-in for the POWER7+ nest domain.
         """
-        cfg = self._config
-        activity = cfg.uncore_activity_idle + cfg.uncore_activity_per_core * n_active_cores
-        dynamic = cfg.uncore_ceff * activity * voltage * voltage * frequency
-        leakage = self._leakage(cfg.uncore_leakage_nominal, voltage, temperature)
-        return dynamic, leakage
+        prepared = PreparedPower(self._config, [], [], temperature, n_active_cores)
+        return prepared.uncore(voltage, frequency)
 
     def chip_power(
         self,
@@ -167,95 +207,13 @@ class PowerModel:
                 f"per-core sequences must all have length {n}; got "
                 f"{len(activities)}/{len(voltages)}/{len(frequencies)}/{len(gated)}"
             )
-        if power_backend_for(n) == "array":
-            return self._chip_power_array(
-                activities, voltages, frequencies, gated, temperature
-            )
-        core_dyn = []
-        core_leak = []
-        active = 0
-        for act, v, f, g in zip(activities, voltages, frequencies, gated):
-            if g:
-                core_dyn.append(0.0)
-            else:
-                core_dyn.append(self.core_dynamic(act, v, f))
-                if act > self._config.idle_activity:
-                    active += 1
-            core_leak.append(self.core_leakage(v, temperature, g))
-        ungated = [v for v, g in zip(voltages, gated) if not g]
-        v_uncore = sum(ungated) / len(ungated) if ungated else max(voltages)
-        ungated_f = [f for f, g in zip(frequencies, gated) if not g]
-        f_uncore = sum(ungated_f) / len(ungated_f) if ungated_f else self._config.f_min
-        unc_dyn, unc_leak = self.uncore_power(active, v_uncore, f_uncore, temperature)
-        return PowerBreakdown(
-            core_dynamic=tuple(core_dyn),
-            core_leakage=tuple(core_leak),
-            uncore_dynamic=unc_dyn,
-            uncore_leakage=unc_leak,
-        )
-
-    def _chip_power_array(
-        self,
-        activities: Sequence[float],
-        voltages: Sequence[float],
-        frequencies: Sequence[float],
-        gated: Sequence[bool],
-        temperature: float,
-    ) -> PowerBreakdown:
-        """Vectorized :meth:`chip_power`, bit-identical to the loop.
-
-        Every elementwise float64 add/sub/mul/div is IEEE-identical to
-        its scalar counterpart, so those vectorize freely as long as the
-        operand order is preserved.  Two places need care:
-
-        * the leakage ``(V/Vref)**k`` stays a per-element libm ``pow`` —
-          numpy's SIMD ``power`` differs from CPython's in the last ulp
-          on ~5% of inputs, which would split the operating-point cache
-          and the event-log digest between backends;
-        * the uncore voltage/frequency means keep Python's sequential
-          ``sum`` — ``np.sum`` is pairwise and rounds differently.
-        """
-        cfg = self._config
-        act = np.asarray(activities, dtype=np.float64)
-        volt = np.asarray(voltages, dtype=np.float64)
-        freq = np.asarray(frequencies, dtype=np.float64)
-        gate = np.asarray(gated, dtype=bool)
-        ungated = ~gate
-        if bool(np.any(act[ungated] < 0)):
-            bad = float(act[ungated][act[ungated] < 0][0])
-            raise ValueError(f"activity must be >= 0, got {bad}")
-        dyn = cfg.core_ceff * act * volt * volt * freq
-        core_dyn = np.where(ungated, dyn, 0.0)
-        k = cfg.leakage_voltage_exponent
-        ratio = volt / LEAKAGE_VREF
-        v_scale = np.array([r ** k for r in ratio.tolist()], dtype=np.float64)
-        t_scale = max(
-            1.0 + cfg.leakage_temp_coeff * (temperature - cfg.leakage_temp_ref),
-            0.1,
-        )
-        leak = cfg.core_leakage_nominal * v_scale * t_scale
-        core_leak = np.where(ungated, leak, leak * cfg.power_gate_residual)
-        active = int(np.count_nonzero(ungated & (act > cfg.idle_activity)))
-        ungated_v = volt[ungated].tolist()
-        v_uncore = (
-            sum(ungated_v) / len(ungated_v) if ungated_v else max(voltages)
-        )
-        ungated_f = freq[ungated].tolist()
-        f_uncore = (
-            sum(ungated_f) / len(ungated_f) if ungated_f else cfg.f_min
-        )
-        unc_dyn, unc_leak = self.uncore_power(
-            active, v_uncore, f_uncore, temperature
+        prepared = self.prepare(activities, gated, temperature)
+        uncore_dynamic, uncore_leakage = prepared.uncore(
+            prepared.uncore_voltage(voltages), prepared.uncore_frequency(frequencies)
         )
         return PowerBreakdown(
-            core_dynamic=tuple(core_dyn.tolist()),
-            core_leakage=tuple(core_leak.tolist()),
-            uncore_dynamic=unc_dyn,
-            uncore_leakage=unc_leak,
+            core_dynamic=tuple(prepared.core_dynamic(voltages, frequencies)),
+            core_leakage=tuple(prepared.core_leakage(voltages)),
+            uncore_dynamic=uncore_dynamic,
+            uncore_leakage=uncore_leakage,
         )
-
-    def _leakage(self, nominal: float, voltage: float, temperature: float) -> float:
-        cfg = self._config
-        v_scale = (voltage / LEAKAGE_VREF) ** cfg.leakage_voltage_exponent
-        t_scale = 1.0 + cfg.leakage_temp_coeff * (temperature - cfg.leakage_temp_ref)
-        return nominal * v_scale * max(t_scale, 0.1)

@@ -99,14 +99,10 @@ class Floorplan:
         """
         if not 0 <= coupling <= 1:
             raise ValueError(f"coupling must be in [0, 1], got {coupling}")
-        weights = []
-        for i in range(self._n_cores):
-            row = []
-            for j in range(self._n_cores):
-                d = self.distance(i, j)
-                row.append(1.0 if d == 0 else coupling**d)
-            weights.append(row)
-        return weights
+        return [
+            [1.0 if a is b else coupling ** a.distance_to(b) for b in self._positions]
+            for a in self._positions
+        ]
 
     def cpm_locations(self, cpms_per_core: int) -> Dict[int, List[str]]:
         """Map core id → list of unit names hosting that core's CPMs."""

@@ -25,6 +25,35 @@ from .irdrop import IrDropNetwork
 from .vrm import VoltageRegulatorModule
 
 
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``float(np.sum(values))`` on plain floats, in numpy's operand order.
+
+    numpy sums float64 sequentially below 8 elements; up to 128 in eight
+    interleaved accumulators folded as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+    plus a sequential tail; beyond that it halves at a multiple of 8 and
+    recurses; the result is added to 0.0.  Python's ``sum`` rounds
+    differently already at 8 elements.  ``tests/test_reduction_order.py``
+    pins this against the installed numpy.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+    total = 0.0
+    blocks = n - n % 8
+    if blocks:
+        acc = list(values[:8])
+        for i in range(8, blocks, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+    for v in values[blocks:]:
+        total += v
+    return total + 0.0
+
+
 @dataclass(frozen=True)
 class DropBreakdown:
     """Per-core voltage drop decomposition for one operating point.
@@ -54,11 +83,6 @@ class DropBreakdown:
 
     #: Per-core on-die voltage under typical conditions.
     core_voltages: tuple
-
-    @property
-    def passive_total(self) -> float:
-        """Loadline + shared IR + mean local IR — the paper's passive drop."""
-        return self.loadline + self.ir_shared + float(np.mean(self.ir_local))
 
     def passive_at(self, core_id: int) -> float:
         """Passive (loadline + IR) drop at one core."""
@@ -128,6 +152,10 @@ class PowerDeliveryPath:
         """Currently programmed rail setpoint (V)."""
         return self._vrm.setpoint(self._rail)
 
+    def prepare(self, n_active_cores: int) -> "PreparedDelivery":
+        """Hoist one solve's constants (see :class:`PreparedDelivery`)."""
+        return PreparedDelivery(self, n_active_cores)
+
     def deliver(
         self,
         core_currents: Sequence[float],
@@ -148,43 +176,65 @@ class PowerDeliveryPath:
         """
         if uncore_current < 0:
             raise ValueError(f"uncore_current must be >= 0, got {uncore_current}")
-        total = float(np.sum(core_currents)) + uncore_current
+        self._ir.checked_currents(core_currents)
+        prepared = self.prepare(n_active_cores)
+        total, loadline, ir_shared, ir_local, voltages = prepared.drops(
+            core_currents, uncore_current
+        )
         self._vrm.record_current(self._rail, total)
-        loadline = self._vrm.loadline_drop(self._rail, total)
-        injected_droop = 0.0
+        return DropBreakdown(
+            setpoint=prepared.setpoint,
+            loadline=loadline,
+            ir_shared=ir_shared,
+            ir_local=tuple(ir_local),
+            typical_didt=prepared.ripple,
+            worst_didt=prepared.droop,
+            core_voltages=tuple(voltages),
+        )
+
+
+class PreparedDelivery:
+    """One socket's delivery path with one solve's constants hoisted: the
+    setpoint, di/dt ripple and droop, loadline and shared-grid
+    resistances, and the installed fault injector.  :meth:`drops` is the
+    only place the delivery arithmetic lives; ``deliver`` wraps it.
+    """
+
+    def __init__(self, path: PowerDeliveryPath, n_active_cores: int) -> None:
+        self.setpoint = path.setpoint
+        self.ripple = path.noise.typical_ripple(n_active_cores)
+        self.droop = path.noise.worst_droop(n_active_cores)
+        self._rail = path.rail
+        self._r_loadline = path.vrm.config.r_loadline
+        self._r_shared = path._config.r_ir_shared
+        self._ir = path._ir
         injector = fault_injector()
-        if injector.enabled:
-            # Fault hooks: a loadline-excursion fault scales the resistive
-            # drop; a VRM-droop fault sags the delivered rail directly.
-            # Both bail to the fault-free arithmetic when inactive.
+        self._injector = injector if injector.enabled else None
+
+    def drops(
+        self, core_currents: Sequence[float], uncore_current: float
+    ) -> tuple:
+        """``(total current, loadline, ir_shared, ir_local, core voltages)``
+        on plain floats, unchecked.
+
+        The per-core voltage is ``setpoint - droop - loadline - ir_shared
+        - local - ripple``, left to right.  An installed injector's hooks
+        run on every call (they count injections per call): a
+        loadline-excursion fault scales the resistive drop, a VRM-droop
+        fault sags the delivered rail.
+        """
+        total = pairwise_sum(core_currents) + uncore_current
+        loadline = self._r_loadline * total
+        injected_droop = 0.0
+        injector = self._injector
+        if injector is not None:
             scale = injector.loadline_scale(self._rail)
             if scale != 1.0:
                 loadline *= scale
             injected_droop = injector.rail_droop(self._rail)
-        ir_shared = self._ir.shared_drop(total)
-        ir_local = self._ir.local_drops(core_currents)
-        ripple = self._noise.typical_ripple(n_active_cores)
-        droop = self._noise.worst_droop(n_active_cores)
-        setpoint = self.setpoint
-        if isinstance(core_currents, np.ndarray):
-            # Array backend: fold the scalar drops first (same
-            # left-associative order as the comprehension below), then
-            # subtract the per-core terms elementwise — bit-identical.
-            prefix = setpoint - injected_droop - loadline - ir_shared
-            voltages = tuple(
-                (prefix - np.asarray(ir_local) - ripple).tolist()
-            )
-        else:
-            voltages = tuple(
-                setpoint - injected_droop - loadline - ir_shared - local - ripple
-                for local in ir_local
-            )
-        return DropBreakdown(
-            setpoint=setpoint,
-            loadline=loadline,
-            ir_shared=ir_shared,
-            ir_local=tuple(ir_local),
-            typical_didt=ripple,
-            worst_didt=droop,
-            core_voltages=voltages,
-        )
+        ir_shared = self._r_shared * total
+        ir_local = self._ir.coupled(core_currents)
+        prefix = self.setpoint - injected_droop - loadline - ir_shared
+        ripple = self.ripple
+        voltages = [prefix - local - ripple for local in ir_local]
+        return total, loadline, ir_shared, ir_local, voltages

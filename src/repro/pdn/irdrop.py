@@ -55,6 +55,10 @@ class IrDropNetwork:
 
     def local_drops(self, core_currents: Sequence[float]) -> List[float]:
         """Per-core local IR drop (V) including neighbour coupling."""
+        return self.coupled(self.checked_currents(core_currents))
+
+    def checked_currents(self, core_currents: Sequence[float]) -> np.ndarray:
+        """``core_currents`` as a float array, checked for width and sign."""
         currents = np.asarray(core_currents, dtype=float)
         if currents.shape != (self._n_cores,):
             raise ValueError(
@@ -62,7 +66,12 @@ class IrDropNetwork:
             )
         if np.any(currents < 0):
             raise ValueError("core currents must be >= 0")
-        return list(self._local_matrix @ currents)
+        return currents
+
+    def coupled(self, core_currents: Sequence[float]) -> List[float]:
+        """:meth:`local_drops` without the checks, for currents that are
+        valid by construction (the socket's fixed point)."""
+        return (self._local_matrix @ np.asarray(core_currents, dtype=float)).tolist()
 
     def core_drops(self, core_currents: Sequence[float]) -> List[float]:
         """Total per-core IR drop: shared grid term plus local term."""

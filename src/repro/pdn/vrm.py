@@ -38,6 +38,11 @@ class VoltageRegulatorModule:
         self._currents = [0.0] * n_rails
 
     @property
+    def config(self) -> PdnConfig:
+        """The electrical configuration every rail shares."""
+        return self._config
+
+    @property
     def n_rails(self) -> int:
         """Number of output rails (one per socket)."""
         return self._n_rails

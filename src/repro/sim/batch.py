@@ -558,18 +558,23 @@ class SweepRunner:
         seed = self.seed_root if seed_root is None else seed_root
 
         # Resolve from cache; collect the modes each task still needs.
+        # Each point's key is computed once and reused for the store.
         states: List[Dict[str, SteadyState]] = []
+        keys: List[Dict[str, str]] = []
         pending: List[Tuple[int, Tuple[GuardbandMode, ...]]] = []
         for index, task in enumerate(tasks):
             have: Dict[str, SteadyState] = {}
             missing: List[GuardbandMode] = []
+            task_keys: Dict[str, str] = {}
             for mode in self._modes_of(task):
-                cached = self.cache.get(self._point_key(cfg_fp, task, mode, seed))
+                key = task_keys[mode.value] = self._point_key(cfg_fp, task, mode, seed)
+                cached = self.cache.get(key)
                 if cached is not None:
                     have[mode.value] = cached
                 else:
                     missing.append(mode)
             states.append(have)
+            keys.append(task_keys)
             if missing:
                 pending.append((index, tuple(missing)))
 
@@ -599,10 +604,7 @@ class SweepRunner:
                     continue
                 fresh_wall[index] = wall
                 for mode_value, state in fresh.items():
-                    mode = GuardbandMode(mode_value)
-                    self.cache.put(
-                        self._point_key(cfg_fp, tasks[index], mode, seed), state
-                    )
+                    self.cache.put(keys[index][mode_value], state)
                     states[index][mode_value] = state
 
         # Assemble results and the report, in input order.  Failed tasks

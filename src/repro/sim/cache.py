@@ -71,8 +71,14 @@ def fingerprint(value: Any) -> str:
     ).hexdigest()[:16]
 
 
+#: Leaf types :func:`_plain` returns as they are (exact types only).
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _plain(value: Any) -> Any:
     """Recursively reduce a value to JSON-able plain structures."""
+    if type(value) in _SCALARS:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         body = {
             field.name: _plain(getattr(value, field.name))

@@ -18,16 +18,17 @@ downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..chip import Power7Chip
-from ..chip.power import PowerBreakdown, power_backend_for
+from ..chip.power import PowerBreakdown
 from ..config import ServerConfig
 from ..errors import ConvergenceError
 from ..pdn import DropBreakdown, PowerDeliveryPath
+from ..pdn.delivery import pairwise_sum
 
 #: Damping factor of the voltage fixed-point iteration.
 DAMPING = 0.6
@@ -58,7 +59,8 @@ class SocketSolution:
     #: Die temperature at the settled operating point (C).
     temperature: float
 
-    #: Number of fixed-point iterations used (last inner loop).
+    #: Fixed-point iterations of the last thermal pass.  In servo mode
+    #: this sums the servo loop and the re-settle at quantized clocks.
     iterations: int
 
     #: Total current drawn from the VRM rail (A).
@@ -173,17 +175,13 @@ class ProcessorSocket:
                 # grid, then re-settle voltage at the fixed clocks.
                 for dpll, f in zip(chip.dplls, freqs):
                     dpll.set_frequency(f)
-                voltages, _, extra = self._iterate(
-                    occupancy, temperature, servo=False,
-                )
+                voltages, _, extra = self._iterate(occupancy, temperature, servo=False)
                 iters += extra
             else:
-                voltages, _, iters = self._iterate(
-                    occupancy, temperature, servo=False,
-                )
+                voltages, _, iters = self._iterate(occupancy, temperature, servo=False)
             drops, power, current = self._evaluate(occupancy, voltages, temperature)
             solution = SocketSolution(
-                core_voltages=tuple(float(v) for v in voltages),
+                core_voltages=tuple(voltages),
                 frequencies=tuple(chip.frequencies()),
                 drops=drops,
                 power=power,
@@ -199,16 +197,7 @@ class ProcessorSocket:
             temperature = new_temp
             chip.thermal.settle(solution.die_power)
             if converged:
-                solution = SocketSolution(
-                    core_voltages=solution.core_voltages,
-                    frequencies=solution.frequencies,
-                    drops=solution.drops,
-                    power=solution.power,
-                    temperature=temperature,
-                    iterations=solution.iterations,
-                    total_current=solution.total_current,
-                    active_core_ids=solution.active_core_ids,
-                )
+                solution = replace(solution, temperature=temperature)
                 break
         return solution
 
@@ -231,98 +220,90 @@ class ProcessorSocket:
 
         Returns ``(voltages, frequencies, iterations)`` where frequencies
         are continuous (not grid-quantized) in servo mode.
+
+        Everything fixed for the solve is hoisted into the prepared power
+        and delivery forms up front, so an iteration only does the
+        arithmetic that depends on the iterate, on plain floats.
         """
         chip = self.chip
-        n = chip.n_cores
-        setpoint = self.path.setpoint
-        voltages = np.full(n, setpoint - 0.02)
-        freqs = list(chip.frequencies())
+        power = chip.power_model.prepare(
+            occupancy.activities, occupancy.gated, temperature
+        )
+        delivery = self.path.prepare(occupancy.n_active)
+        voltages = [delivery.setpoint - 0.02] * chip.n_cores
+        freqs = chip.frequencies()
+        f_uncore = power.uncore_frequency(freqs)
         delta = float("inf")
-        vectorized = power_backend_for(n) == "array"
         for iteration in range(1, MAX_ITERATIONS + 1):
             if servo:
                 freqs = []
                 for v in voltages:
-                    target = chip.timing.frequency_for_margin(float(v), servo_margin)
+                    target = chip.timing.frequency_for_margin(v, servo_margin)
                     target = chip.timing.clamp_frequency(target)
                     if frequency_cap is not None:
                         target = min(target, frequency_cap)
                     freqs.append(target)
-            power = chip.power_model.chip_power(
-                activities=occupancy.activities,
-                voltages=list(voltages),
-                frequencies=freqs,
-                gated=occupancy.gated,
-                temperature=temperature,
+                f_uncore = power.uncore_frequency(freqs)
+            unc_dyn, unc_leak = power.uncore(power.uncore_voltage(voltages), f_uncore)
+            core_currents, uncore_current = _currents(
+                power.core_dynamic(voltages, freqs), power.core_leakage(voltages),
+                unc_dyn + unc_leak, voltages,
             )
-            core_currents = _core_currents(power, voltages, n, vectorized)
-            uncore_power = power.uncore_dynamic + power.uncore_leakage
-            uncore_current = uncore_power / max(float(np.mean(voltages)), 0.3)
-            drops = self.path.deliver(
-                core_currents, uncore_current, occupancy.n_active
-            )
-            new_voltages = np.asarray(drops.core_voltages)
-            delta = float(np.max(np.abs(new_voltages - voltages)))
-            voltages = voltages + DAMPING * (new_voltages - voltages)
+            *_, new_voltages = delivery.drops(core_currents, uncore_current)
+            delta = max([abs(new - v) for new, v in zip(new_voltages, voltages)])
+            voltages = [v + DAMPING * (new - v) for new, v in zip(new_voltages, voltages)]
             # A diverging iterate (pathological delivery resistance) must
             # stay inside the power model's physical domain so the loop
             # reaches the iteration cap and raises ConvergenceError instead
             # of feeding negative voltages into the leakage model.
-            voltages = np.clip(voltages, 0.2, None)
+            if min(voltages) < 0.2:
+                voltages = [max(v, 0.2) for v in voltages]
             if delta < TOLERANCE:
                 return voltages, freqs, iteration
         raise ConvergenceError(
             f"socket {self.socket_id}: electrical fixed point did not converge "
             f"in {MAX_ITERATIONS} iterations "
-            f"(setpoint={setpoint:.3f} V, last delta={delta:.2e} V)"
+            f"(setpoint={delivery.setpoint:.3f} V, last delta={delta:.2e} V)"
         )
 
     def _evaluate(
-        self, occupancy: "_Occupancy", voltages: np.ndarray, temperature: float
+        self, occupancy: "_Occupancy", voltages: List[float], temperature: float
     ) -> tuple:
         """One forward evaluation of (drops, power, current) at settled voltages."""
-        chip = self.chip
-        n = chip.n_cores
-        power = chip.power_model.chip_power(
+        power = self.chip.power_model.chip_power(
             activities=occupancy.activities,
-            voltages=list(voltages),
-            frequencies=chip.frequencies(),
+            voltages=voltages,
+            frequencies=self.chip.frequencies(),
             gated=occupancy.gated,
             temperature=temperature,
         )
-        vectorized = power_backend_for(n) == "array"
-        core_currents = _core_currents(power, voltages, n, vectorized)
-        uncore_power = power.uncore_dynamic + power.uncore_leakage
-        uncore_current = uncore_power / max(float(np.mean(voltages)), 0.3)
+        core_currents, uncore_current = _currents(
+            power.core_dynamic, power.core_leakage,
+            power.uncore_dynamic + power.uncore_leakage, voltages,
+        )
         drops = self.path.deliver(core_currents, uncore_current, occupancy.n_active)
-        if vectorized:
-            # Sequential sum (not np.sum's pairwise reduction) to stay
-            # bit-identical with the scalar path.
-            total_current = float(sum(core_currents.tolist())) + uncore_current
-        else:
-            total_current = float(sum(core_currents)) + uncore_current
+        total_current = float(sum(core_currents)) + uncore_current
         return drops, power, total_current
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessorSocket(id={self.socket_id}, chip={self.chip!r})"
 
 
-def _core_currents(
-    power: PowerBreakdown, voltages: np.ndarray, n: int, vectorized: bool
-):
-    """Per-core current draw at the present iterate.
+def _currents(dynamic: list, leakage: list, uncore_power: float, voltages: list) -> tuple:
+    """``(per-core currents, uncore current)`` drawn at these voltages.
 
-    The array form computes ``(dyn + leak) / max(V, 0.3)`` elementwise —
-    the same IEEE operations in the same order as the scalar
-    comprehension, so the two are bit-identical (enforced by test).
+    Each core draws its power over its own voltage; the uncore draws over
+    the mean core voltage, reduced in numpy's order (:func:`pairwise_sum`).
+    Both floor the voltage at 0.3 V.
     """
-    if vectorized:
-        return (
-            np.asarray(power.core_dynamic) + np.asarray(power.core_leakage)
-        ) / np.maximum(voltages, 0.3)
-    return [
-        power.core_power(i) / max(float(voltages[i]), 0.3) for i in range(n)
+    # ``max(v, 0.3)`` spelled as a conditional: same result, without a
+    # builtin call per core.
+    core = [
+        (d + l) / (0.3 if v < 0.3 else v)
+        for d, l, v in zip(dynamic, leakage, voltages)
     ]
+    mean = pairwise_sum(voltages) / len(voltages)
+    return core, uncore_power / max(mean, 0.3)
 
 
 @dataclass(frozen=True)

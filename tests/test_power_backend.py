@@ -1,123 +1,24 @@
-"""Scalar vs numpy array power backends: selection rules and bit-identity.
+"""One scalar power path at every width, equal to the reference loop.
 
-The operating-point cache and the fleet event-log SHA-256 both hash exact
-float values, so the two backends must agree to the last bit — not just to
-a tolerance.  Every assertion here uses ``==`` on raw floats on purpose.
+Settled operating points must equal, to the last bit, what the
+per-iteration reference loop (:mod:`tests.test_socket_reference`)
+settles, and dies wider than the 2x4 POWER7+ grid must build and solve
+on the same path.  Every equality is an exact ``==`` on raw floats on
+purpose: the operating-point cache and the event-log SHA-256 hash them.
 """
 
 import pytest
 
 from repro.api import measure
-from repro.chip.power import (
-    ARRAY_BACKEND_MIN_CORES,
-    BACKEND_ENV_VAR,
-    PowerModel,
-    power_backend_for,
-    set_power_backend,
-)
+from repro.chip.power import PowerModel
 from repro.config import ChipConfig, ServerConfig
 from repro.sim.server import Power720Server
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Leave no process-wide override behind, whatever a test does."""
-    previous = set_power_backend(None)
-    yield
-    set_power_backend(previous)
-
-
-class TestBackendSelection:
-    def test_default_width_stays_scalar(self):
-        assert power_backend_for(8) == "scalar"
-
-    def test_wide_dies_use_the_array_backend(self):
-        assert power_backend_for(ARRAY_BACKEND_MIN_CORES) == "array"
-        assert power_backend_for(64) == "array"
-
-    def test_override_beats_width(self):
-        set_power_backend("array")
-        assert power_backend_for(1) == "array"
-        set_power_backend("scalar")
-        assert power_backend_for(128) == "scalar"
-
-    def test_override_returns_previous_value(self):
-        assert set_power_backend("array") is None
-        assert set_power_backend(None) == "array"
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            set_power_backend("simd")
-
-    def test_env_var_applies_when_no_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "array")
-        assert power_backend_for(2) == "array"
-
-    def test_programmatic_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "array")
-        set_power_backend("scalar")
-        assert power_backend_for(2) == "scalar"
-
-    def test_garbage_env_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "avx512")
-        assert power_backend_for(8) == "scalar"
+from tests.test_socket_reference import reference_loop
 
 
 class TestChipPowerBitIdentity:
-    """Raw PowerModel.chip_power agreement across mixed occupancies."""
-
-    CASES = [
-        # (activities, voltages, frequencies, gated)
-        (
-            [0.9, 0.8, 0.02, 0.0, 0.6, 0.02, 0.7, 0.5],
-            [1.05, 1.04, 1.06, 1.1, 1.03, 1.05, 1.02, 1.04],
-            [4.0e9, 4.1e9, 3.6e9, 3.6e9, 4.2e9, 3.7e9, 4.0e9, 3.9e9],
-            [False, False, False, True, False, False, False, False],
-        ),
-        (  # everything gated: uncore falls back to max(V) / f_min
-            [0.0] * 8,
-            [1.0, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07],
-            [3.6e9] * 8,
-            [True] * 8,
-        ),
-        (  # all busy, uniform
-            [1.0] * 8,
-            [1.1] * 8,
-            [4.2e9] * 8,
-            [False] * 8,
-        ),
-    ]
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_backends_agree_to_the_bit(self, case):
-        activities, voltages, frequencies, gated = case
+    def test_chip_power_validates_activity(self):
         model = PowerModel(ChipConfig())
-        set_power_backend("scalar")
-        scalar = model.chip_power(
-            activities=activities,
-            voltages=voltages,
-            frequencies=frequencies,
-            gated=gated,
-            temperature=71.3,
-        )
-        set_power_backend("array")
-        array = model.chip_power(
-            activities=activities,
-            voltages=voltages,
-            frequencies=frequencies,
-            gated=gated,
-            temperature=71.3,
-        )
-        # Dataclass == compares every float exactly; spell out the fields
-        # anyway so a mismatch pinpoints the component.
-        assert scalar.core_dynamic == array.core_dynamic
-        assert scalar.core_leakage == array.core_leakage
-        assert scalar.uncore_dynamic == array.uncore_dynamic
-        assert scalar.uncore_leakage == array.uncore_leakage
-
-    def test_array_backend_validates_activity(self):
-        model = PowerModel(ChipConfig())
-        set_power_backend("array")
         with pytest.raises(ValueError, match="activity"):
             model.chip_power(
                 activities=[-0.1] + [0.5] * 7,
@@ -128,46 +29,41 @@ class TestChipPowerBitIdentity:
             )
 
     def test_gated_negative_activity_is_ignored_like_scalar(self):
-        """The scalar loop never inspects a gated core's activity."""
+        """A gated core's activity is never read."""
         model = PowerModel(ChipConfig())
         kwargs = dict(
-            activities=[-0.1] + [0.5] * 7,
             voltages=[1.05] * 8,
             frequencies=[4.0e9] * 8,
             gated=[True] + [False] * 7,
             temperature=70.0,
         )
-        set_power_backend("scalar")
-        scalar = model.chip_power(**kwargs)
-        set_power_backend("array")
-        assert model.chip_power(**kwargs) == scalar
+        ignored = model.chip_power(activities=[-0.1] + [0.5] * 7, **kwargs)
+        assert ignored == model.chip_power(activities=[0.0] + [0.5] * 7, **kwargs)
 
 
 class TestSettledStateBitIdentity:
-    """End-to-end: settled operating points agree across backends."""
+    """End-to-end: settled operating points equal the reference loop's."""
 
     @pytest.mark.parametrize("mode", ["undervolt", "overclock"])
     @pytest.mark.parametrize("n_threads", [1, 5, 8])
     def test_default_width_solutions_match(self, mode, n_threads):
-        set_power_backend("scalar")
-        scalar = measure("raytrace", n_threads=n_threads, mode=mode, seed=11)
-        set_power_backend("array")
-        array = measure("raytrace", n_threads=n_threads, mode=mode, seed=11)
-        assert scalar.static == array.static
-        assert scalar.adaptive == array.adaptive
+        with reference_loop():
+            reference = measure("raytrace", n_threads=n_threads, mode=mode, seed=11)
+        lean = measure("raytrace", n_threads=n_threads, mode=mode, seed=11)
+        assert lean.static == reference.static
+        assert lean.adaptive == reference.adaptive
 
-    def test_wide_die_auto_array_matches_forced_scalar(self):
-        config = ServerConfig(chip=ChipConfig(n_cores=ARRAY_BACKEND_MIN_CORES))
-        assert power_backend_for(config.chip.n_cores) == "array"
-        auto = measure(
+    def test_sixteen_core_die_builds_and_solves(self):
+        config = ServerConfig(chip=ChipConfig(n_cores=16))
+        result = measure(
             "raytrace", n_threads=12, mode="undervolt", config=config, seed=3
         )
-        set_power_backend("scalar")
-        scalar = measure(
-            "raytrace", n_threads=12, mode="undervolt", config=config, seed=3
-        )
-        assert auto.static == scalar.static
-        assert auto.adaptive == scalar.adaptive
+        point = result.adaptive.point
+        assert point.chip_power > 0
+        voltages = [
+            v for s in point.sockets for v in s.solution.core_voltages
+        ]
+        assert len(voltages) == 16 * len(point.sockets)
 
     def test_wide_die_builds_and_solves(self):
         """Widths past the 2x4 POWER7+ grid grow the floorplan columns."""
