@@ -14,11 +14,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from ..api import measure
 from ..config import DidtConfig, PdnConfig, ServerConfig
 from ..errors import ReproError
 from ..guardband import GuardbandMode
-from ..sim.run import build_server, measure_consolidated
-from ..workloads import get_profile
 
 #: The PDN/noise parameters the tornado sweeps, with access paths.
 SWEPT_PARAMETERS = (
@@ -74,9 +73,11 @@ def saving_metric(n_threads: int) -> Callable[[ServerConfig], float]:
     """Metric factory: raytrace undervolt saving (%) at ``n_threads``."""
 
     def metric(config: ServerConfig) -> float:
-        server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), n_threads, GuardbandMode.UNDERVOLT
+        result = measure(
+            "raytrace",
+            n_threads=n_threads,
+            mode=GuardbandMode.UNDERVOLT,
+            config=config,
         )
         s0s = result.static.point.socket_point(0)
         s0a = result.adaptive.point.socket_point(0)

@@ -1,11 +1,9 @@
 """The public measurement facade: one ``measure``, one ``sweep``.
 
-Historically the three measurement procedures lived in three places —
-:func:`repro.sim.run.measure_consolidated` (Sec. 3 characterization),
-:func:`repro.sim.run.measure_placement` (arbitrary two-socket splits) and
-:func:`repro.core.evaluate.measure_scheduled` (contention-adjusted
-scheduler decisions) — and callers had to know which module owned which
-variant.  This facade unifies them behind keyword-only selectors::
+The paper's three measurement procedures — Sec. 3's consolidated core
+scaling, explicit two-socket placements (loadline borrowing) and
+contention-adjusted scheduler decisions — are keyword-selected variants
+of one call::
 
     from repro import GuardbandMode, measure, sweep
 
@@ -21,9 +19,10 @@ variant.  This facade unifies them behind keyword-only selectors::
     # The Figs. 3/4 core-scaling sweep, batched through the shared runner:
     results = sweep("raytrace", mode="undervolt")
 
-The legacy functions remain as thin delegating wrappers, so existing code
-and results are bit-identical; new code should import from here (or from
-the package root, which re-exports both names).
+``measure`` places the variant on one server and settles it twice there;
+``sweep`` batches points through :class:`~repro.sim.batch.SweepRunner`,
+which settles each mode on a fresh server.  Both realize placements with
+:func:`repro.sim.batch.settle_task`.
 """
 
 from __future__ import annotations
@@ -31,18 +30,22 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .chip.dvfs import DvfsTable
 from .config import ServerConfig
-from .core.evaluate import apply_with_contention
 from .core.placement import Placement
 from .errors import SchedulingError
 from .faults.injector import injected
 from .faults.plan import FaultPlan
 from .guardband import GuardbandMode
-from .sim.batch import SweepRunner, core_scaling_tasks, default_runner
+from .guardband.capping import cap_walk_frequencies
+from .sim.batch import (
+    SweepRunner,
+    SweepTask,
+    core_scaling_tasks,
+    default_runner,
+    settle_task,
+)
 from .sim.cache import OperatingPointCache
-from .sim.results import RunResult, SteadyState
-from .sim.run import _steady_state, active_mean_frequency
+from .sim.results import RunResult
 from .sim.server import Power720Server
 from .workloads import get_profile
 from .workloads.profile import WorkloadProfile
@@ -94,13 +97,6 @@ def _resolve_backend_config(
     return dataclasses.replace(base, pdn_backend=pdn_backend)
 
 
-def _cap_frequencies(config: Optional[ServerConfig]) -> Tuple[float, ...]:
-    """DVFS table frequencies, fastest first — the cap-walk candidates."""
-    cfg = config or ServerConfig()
-    table = DvfsTable(cfg.chip, cfg.guardband)
-    return tuple(p.frequency for p in reversed(table.points))
-
-
 def measure(
     workload: Union[str, WorkloadProfile],
     *,
@@ -133,8 +129,8 @@ def measure(
       realized with contention-adjusted thread activity (what the AGS
       schedulers measure).
 
-    Every variant settles the placement twice — under the static guardband
-    and under ``mode`` — and returns the
+    Every variant places once and settles twice on the same server —
+    under the static guardband, then under ``mode`` — and returns the
     :class:`~repro.sim.results.RunResult` pair.  ``server`` reuses an
     existing machine (it is cleared first); otherwise a fresh one is built
     from ``config`` and ``seed``.
@@ -146,9 +142,10 @@ def measure(
 
     ``pdn_backend`` selects a registered power-delivery backend by name
     (see :mod:`repro.pdn.backends`); the server is built against it.
-    ``power_cap`` enforces a whole-server power budget (W): the DVFS
-    table is walked down from the uncapped point until the measured
-    ``adaptive`` server power fits, raising
+    ``power_cap`` enforces a whole-server power budget (W): the cap-walk
+    menu (:func:`~repro.guardband.capping.cap_walk_frequencies`, the one
+    the fleet walks) is stepped down from the uncapped point until the
+    measured ``adaptive`` server power fits, raising
     :class:`~repro.errors.SchedulingError` when even the lowest point
     exceeds the budget.
     """
@@ -201,7 +198,7 @@ def measure(
         result = _attempt(None)
         if result.adaptive.point.server_power <= power_cap:
             return result
-        for frequency in _cap_frequencies(config):
+        for frequency in cap_walk_frequencies(config or ServerConfig()):
             if frequency >= result.adaptive.point.min_frequency:
                 continue  # no slower than the uncapped settle
             result = _attempt(frequency)
@@ -222,143 +219,47 @@ def measure(
     runtime = runtime_model or RuntimeModel()
 
     if schedule is not None:
-        return _measure_schedule(
-            box, schedule, profile, guardband_mode, runtime, f_target
+        task = SweepTask.scheduled(
+            schedule, profile, guardband_mode, f_target=f_target
         )
-    if placement is not None:
+    elif placement is not None:
         share = (
             placement
             if isinstance(placement, SocketShare)
             else SocketShare(tuple(placement))
         )
-        return _measure_share(
-            box,
+        task = SweepTask.placement(
             profile,
-            share,
+            share.threads_per_socket,
             guardband_mode,
-            keep_on,
-            threads_per_core,
-            runtime,
-            f_target,
+            keep_on=keep_on,
+            threads_per_core=threads_per_core,
+            f_target=f_target,
         )
-    if keep_on is not None:
+    elif keep_on is not None:
         raise SchedulingError(
             "keep_on= only applies to the placement= variant"
         )
-    return _measure_consolidated(
-        box, profile, n_threads, guardband_mode, threads_per_core, runtime,
-        f_target,
-    )
-
-
-# ----------------------------------------------------------------------
-# Variant implementations (the canonical ones — the legacy entry points
-# in sim.run and core.evaluate delegate here)
-# ----------------------------------------------------------------------
-def _measure_consolidated(
-    server: Power720Server,
-    profile: WorkloadProfile,
-    n_threads: int,
-    mode: GuardbandMode,
-    threads_per_core: int,
-    runtime: RuntimeModel,
-    f_target: Optional[float],
-) -> RunResult:
-    server.clear()
-    server.place(0, profile, n_threads, threads_per_core=threads_per_core)
-    share = SocketShare.consolidated(n_threads, server.n_sockets)
-    n_active = server.sockets[0].chip.n_active_cores()
-
-    static_point = server.operate(GuardbandMode.STATIC, f_target)
-    static_state = _steady_state(
-        server, profile, share, GuardbandMode.STATIC, n_active, static_point,
-        runtime,
-    )
-    adaptive_point = server.operate(mode, f_target)
-    adaptive_state = _steady_state(
-        server, profile, share, mode, n_active, adaptive_point, runtime
-    )
-    return RunResult(
-        profile=profile,
-        n_active_cores=n_active,
-        static=static_state,
-        adaptive=adaptive_state,
-    )
-
-
-def _measure_share(
-    server: Power720Server,
-    profile: WorkloadProfile,
-    share: SocketShare,
-    mode: GuardbandMode,
-    keep_on: Optional[Sequence[int]],
-    threads_per_core: int,
-    runtime: RuntimeModel,
-    f_target: Optional[float],
-) -> RunResult:
-    server.clear()
-    for sid, n_threads in enumerate(share.threads_per_socket):
-        if n_threads:
-            server.place(
-                sid, profile, n_threads, threads_per_core=threads_per_core
-            )
-    if keep_on is not None:
-        server.gate_unused(keep_on)
-    n_active = sum(s.chip.n_active_cores() for s in server.sockets)
-
-    static_point = server.operate(GuardbandMode.STATIC, f_target)
-    static_state = _steady_state(
-        server, profile, share, GuardbandMode.STATIC, n_active, static_point,
-        runtime,
-    )
-    adaptive_point = server.operate(mode, f_target)
-    adaptive_state = _steady_state(
-        server, profile, share, mode, n_active, adaptive_point, runtime
-    )
-    return RunResult(
-        profile=profile,
-        n_active_cores=n_active,
-        static=static_state,
-        adaptive=adaptive_state,
-    )
-
-
-def _measure_schedule(
-    server: Power720Server,
-    schedule: Placement,
-    profile: WorkloadProfile,
-    mode: GuardbandMode,
-    runtime: RuntimeModel,
-    f_target: Optional[float],
-) -> RunResult:
-    apply_with_contention(server, schedule, runtime)
-    share = schedule.share_of(profile.name)
-    n_active = sum(s.chip.n_active_cores() for s in server.sockets)
-
-    states = {}
-    for measured_mode in (GuardbandMode.STATIC, mode):
-        point = server.operate(measured_mode, f_target)
-        frequency = active_mean_frequency(point)
-        execution_time = runtime.execution_time(
+    else:
+        task = SweepTask.consolidated(
             profile,
-            share,
-            frequency=frequency,
-            reference_frequency=server.config.chip.f_nominal,
-            threads_per_core=schedule.threads_per_core,
+            n_threads,
+            guardband_mode,
+            threads_per_core=threads_per_core,
+            f_target=f_target,
         )
-        states[measured_mode] = SteadyState(
-            workload=profile.name,
-            mode=measured_mode,
-            n_active_cores=n_active,
-            point=point,
-            execution_time=execution_time,
-            active_frequency=frequency,
-        )
+    static, adaptive = settle_task(
+        box, task, runtime, (GuardbandMode.STATIC, guardband_mode)
+    )
+    if task.kind == "scheduled" and guardband_mode is GuardbandMode.STATIC:
+        # A static scheduled measurement reports its second settle on
+        # both sides (the other variants keep the pair).
+        static = adaptive
     return RunResult(
         profile=profile,
-        n_active_cores=n_active,
-        static=states[GuardbandMode.STATIC],
-        adaptive=states[mode],
+        n_active_cores=static.n_active_cores,
+        static=static,
+        adaptive=adaptive,
     )
 
 
@@ -399,7 +300,7 @@ def sweep(
 
     ``pdn_backend`` selects a registered power-delivery backend for
     every point of the sweep; ``power_cap`` enforces a whole-server
-    budget (W) per point by walking that point down the DVFS table
+    budget (W) per point by walking that point down the cap-walk menu
     until the measured adaptive server power fits (see ``measure``).
     """
     if fault_plan is not None:
@@ -454,7 +355,7 @@ def sweep(
     if power_cap is None:
         return results
     capped: List[RunResult] = []
-    candidates = _cap_frequencies(config)
+    candidates = cap_walk_frequencies(config or ServerConfig())
     for task, result in zip(tasks, results):
         if result.adaptive.point.server_power <= power_cap:
             capped.append(result)

@@ -40,7 +40,7 @@ from ..faults.plan import FaultPlan
 from ..faults.spec import JobKillFault, ServerCrashFault
 from ..faults.watchdog import watchdog
 from ..guardband import GuardbandMode
-from ..guardband.capping import CapResult, PowerCapPolicy
+from ..guardband.capping import CapResult, cap_walk_frequencies
 from ..obs import DEFAULT_LATENCY_BUCKETS, observability
 from ..sim.batch import (
     SweepRunner,
@@ -478,15 +478,13 @@ class FleetSimulation:
     def _cap_walk_frequencies(self) -> Tuple[float, ...]:
         """The DVFS menu the cap walk steps down, fastest first.
 
-        Sourced from the same table :class:`PowerCapPolicy` enforces
-        per-socket caps with — the fleet actuator is that walk, executed
-        through the sweep runner so every candidate point is cached and
-        deterministic.
+        The shared :func:`~repro.guardband.capping.cap_walk_frequencies`
+        menu, executed through the sweep runner so every candidate point
+        is cached and deterministic.
         """
         if self._cap_frequencies is None:
-            table = PowerCapPolicy(self.config.server_config).table
-            self._cap_frequencies = tuple(
-                point.frequency for point in reversed(table.points)
+            self._cap_frequencies = cap_walk_frequencies(
+                self.config.server_config
             )
         return self._cap_frequencies
 
@@ -530,26 +528,6 @@ class FleetSimulation:
         # re-settle is a settle-cache memory hit, never a second solve.
         index = min(lo, len(candidates) - 1)
         return self._settle(placement, mode, candidates[index]), True
-
-    def _settle_capped_linear(
-        self, placement, mode: GuardbandMode, cap_w: Optional[float]
-    ) -> Tuple[RunResult, bool]:
-        """Reference linear descending cap walk (pre-bisection semantics).
-
-        Kept verbatim as the adjudicator for the equivalence property
-        test — :meth:`_settle_capped` must select the exact same point
-        for every cap and mode.  Not used on any hot path.
-        """
-        result = self._settle(placement, mode)
-        if cap_w is None or result.adaptive.point.server_power <= cap_w:
-            return result, False
-        for frequency in self._cap_walk_frequencies():
-            if frequency >= result.adaptive.point.min_frequency:
-                continue  # not slower than the current settle
-            result = self._settle(placement, mode, frequency)
-            if result.adaptive.point.server_power <= cap_w:
-                break
-        return result, True
 
     def _scheduler_settle(
         self,

@@ -17,7 +17,7 @@ feature its substrate implies (see DESIGN.md §5b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 from ..chip.dvfs import DvfsTable
 from ..config import ServerConfig
@@ -27,6 +27,21 @@ from .undervolt import UndervoltPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..sim.socket import ProcessorSocket, SocketSolution
+
+
+def cap_walk_table(config: ServerConfig) -> DvfsTable:
+    """The DVFS menu every cap walk steps down: every second DPLL step.
+
+    :class:`PowerCapPolicy`, ``measure``/``sweep(power_cap=)`` and the
+    fleet's capped settle all walk this one menu, so they can only ever
+    land on the same operating points.
+    """
+    return DvfsTable(config.chip, config.guardband, step_multiple=2)
+
+
+def cap_walk_frequencies(config: ServerConfig) -> Tuple[float, ...]:
+    """:func:`cap_walk_table`'s frequencies, fastest first."""
+    return tuple(p.frequency for p in reversed(cap_walk_table(config).points))
 
 
 @dataclass(frozen=True)
@@ -55,11 +70,11 @@ class CapResult:
 
 
 class PowerCapPolicy:
-    """Walk the DVFS table down until the rail power fits the cap."""
+    """Walk the cap-walk menu down until the rail power fits the cap."""
 
-    def __init__(self, config: ServerConfig, step_multiple: int = 2) -> None:
+    def __init__(self, config: ServerConfig) -> None:
         self._config = config
-        self._table = DvfsTable(config.chip, config.guardband, step_multiple)
+        self._table = cap_walk_table(config)
         self._undervolt = UndervoltPolicy(config)
         self._static = StaticGuardbandPolicy(config)
 

@@ -7,11 +7,11 @@ assertions.  The package provides:
 
 * :mod:`~repro.scenarios.model` — the frozen, eagerly validated
   :class:`Scenario` composition;
-* :mod:`~repro.scenarios.tomlio` — the TOML-subset reader/writer (the CI
-  matrix includes Python 3.9, which has no :mod:`tomllib`);
 * :mod:`~repro.scenarios.codec` — strict TOML ↔ :class:`Scenario`
-  mapping: unknown keys are rejected with their full path, and dumping
-  is round-trip stable;
+  mapping, read with the stdlib :mod:`tomllib`: unknown keys are
+  rejected with their full path, and dumping is round-trip stable;
+* :mod:`~repro.scenarios.tomlio` — the TOML writer behind dumping (the
+  stdlib has none);
 * :mod:`~repro.scenarios.runner` — compilation onto the sharded fleet
   executor (per-group aging and die seeds, declarative faults lowered to
   concrete specs) plus golden adjudication;

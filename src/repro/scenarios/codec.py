@@ -11,6 +11,8 @@ round-trip stability the tests pin).
 from __future__ import annotations
 
 import dataclasses
+import math
+import tomllib
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ScenarioError
@@ -334,11 +336,21 @@ def scenario_from_document(document: Dict[str, Any]) -> Scenario:
     return scenario
 
 
+def _finite_float(text: str) -> float:
+    """``tomllib`` float hook: scenarios never carry ``nan`` or ``inf``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise tomllib.TOMLDecodeError(
+            f"non-finite number {text!r} is not supported"
+        )
+    return value
+
+
 def loads(text: str) -> Scenario:
     """Parse scenario TOML text into a validated :class:`Scenario`."""
     try:
-        document = tomlio.loads(text)
-    except tomlio.TomlError as exc:
+        document = tomllib.loads(text, parse_float=_finite_float)
+    except tomllib.TOMLDecodeError as exc:
         raise ScenarioError(f"invalid scenario TOML: {exc}") from exc
     return scenario_from_document(document)
 
@@ -346,9 +358,16 @@ def loads(text: str) -> Scenario:
 def load(path: str) -> Scenario:
     """Parse the scenario file at ``path``."""
     try:
-        document = tomlio.load(path)
-    except tomlio.TomlError as exc:
-        raise ScenarioError(f"invalid scenario file: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as handle:
+            document = tomllib.loads(
+                handle.read(), parse_float=_finite_float
+            )
+    except OSError as exc:
+        raise ScenarioError(
+            f"invalid scenario file: cannot read {path}: {exc}"
+        ) from exc
+    except tomllib.TOMLDecodeError as exc:
+        raise ScenarioError(f"invalid scenario file: {path}: {exc}") from exc
     try:
         return scenario_from_document(document)
     except ScenarioError as exc:

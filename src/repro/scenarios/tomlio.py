@@ -1,43 +1,19 @@
-"""A minimal TOML subset reader/writer for scenario files.
+"""The TOML writer behind scenario dumping.
 
-The CI matrix still includes Python 3.9, which has no :mod:`tomllib`, and
-the repo bakes in no third-party parser — so scenario files speak a small,
-fully specified TOML subset implemented here and used on *every* Python
-version (one code path, one behavior).  When the stdlib parser exists the
-test suite cross-checks this module against it on the whole catalog, so
-the subset stays honest TOML rather than drifting into a private dialect.
-
-Supported syntax
-----------------
-* comments (``#``), blank lines;
-* ``[table]`` and ``[[array-of-tables]]`` headers with dotted, bare or
-  quoted parts;
-* ``key = value`` with bare or quoted keys;
-* values: basic strings (``"..."`` with ``\\`` escapes), booleans,
-  integers (with underscores), floats, and (possibly nested, possibly
-  multi-line) arrays.
-
-Not supported — rejected loudly, never mis-parsed: literal/multiline
-strings, inline tables, dates, ``+``/``-`` prefixed bare keys, and
-duplicate definitions.  :func:`dumps` emits only this subset, so every
-document the package writes round-trips through :func:`loads` bit-stably.
+Scenario files are read with the stdlib :mod:`tomllib` (see
+:mod:`repro.scenarios.codec`); the stdlib has no writer, so this module
+renders the nested dicts/lists/scalars a scenario document is made of:
+``[table]`` and ``[[array-of-tables]]`` headers, bare or quoted keys,
+basic strings, booleans, integers, finite floats and arrays.  Everything
+:func:`dumps` emits parses back through :mod:`tomllib` to the same
+document.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
-from ..errors import ReproError
-
-
-class TomlError(ReproError):
-    """A scenario TOML document failed to parse.
-
-    Deliberately a :class:`ReproError` (not ``ValueError``) so the CLI's
-    error table turns a malformed file into a clean exit code; the
-    scenario codec re-wraps it as :class:`~repro.errors.ScenarioError`.
-    """
-
+from ..errors import ScenarioError
 
 _ESCAPES = {
     "b": "\b", "t": "\t", "n": "\n", "f": "\f", "r": "\r",
@@ -48,316 +24,10 @@ _UNESCAPES = {v: "\\" + k for k, v in _ESCAPES.items() if k not in ("b", "f")}
 
 def _is_bare_key(text: str) -> bool:
     return bool(text) and all(
-        c.isalnum() or c in ("_", "-") for c in text
+        (c.isascii() and c.isalnum()) or c in ("_", "-") for c in text
     )
 
 
-# ----------------------------------------------------------------------
-# Reading
-# ----------------------------------------------------------------------
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.lines = text.split("\n")
-        self.lineno = 0
-
-    def error(self, message: str) -> TomlError:
-        return TomlError(f"line {self.lineno}: {message}")
-
-    # -- string scanning ------------------------------------------------
-    def _scan_string(self, text: str, start: int) -> Tuple[str, int]:
-        """Parse a basic string beginning at ``text[start] == '"'``."""
-        out: List[str] = []
-        i = start + 1
-        while i < len(text):
-            c = text[i]
-            if c == '"':
-                return "".join(out), i + 1
-            if c == "\\":
-                if i + 1 >= len(text):
-                    raise self.error("dangling escape in string")
-                esc = text[i + 1]
-                if esc not in _ESCAPES:
-                    raise self.error(f"unsupported escape '\\{esc}'")
-                out.append(_ESCAPES[esc])
-                i += 2
-                continue
-            out.append(c)
-            i += 1
-        raise self.error("unterminated string")
-
-    def _strip_comment(self, line: str) -> str:
-        """Drop a trailing comment, respecting strings."""
-        i = 0
-        while i < len(line):
-            c = line[i]
-            if c == '"':
-                _, i = self._scan_string(line, i)
-                continue
-            if c == "#":
-                return line[:i]
-            i += 1
-        return line
-
-    # -- key paths ------------------------------------------------------
-    def _parse_key_path(self, text: str) -> List[str]:
-        """Split a (possibly dotted, possibly quoted) key into parts."""
-        parts: List[str] = []
-        i = 0
-        text = text.strip()
-        while i < len(text):
-            while i < len(text) and text[i] in " \t":
-                i += 1
-            if i >= len(text):
-                raise self.error("empty key part")
-            if text[i] == '"':
-                part, i = self._scan_string(text, i)
-            else:
-                j = i
-                while j < len(text) and text[j] not in ". \t":
-                    j += 1
-                part = text[i:j]
-                if not _is_bare_key(part):
-                    raise self.error(f"invalid bare key {part!r}")
-                i = j
-            parts.append(part)
-            while i < len(text) and text[i] in " \t":
-                i += 1
-            if i < len(text):
-                if text[i] != ".":
-                    raise self.error(f"unexpected {text[i]!r} in key")
-                i += 1
-                if i >= len(text) or text[i:].strip() == "":
-                    raise self.error("key ends with a dot")
-        if not parts:
-            raise self.error("empty key")
-        return parts
-
-    # -- values ---------------------------------------------------------
-    def _parse_value(self, text: str, start: int) -> Tuple[Any, int]:
-        """Parse one value at ``text[start:]``; returns (value, end)."""
-        while start < len(text) and text[start] in " \t":
-            start += 1
-        if start >= len(text):
-            raise self.error("missing value")
-        c = text[start]
-        if c == '"':
-            return self._scan_string(text, start)
-        if c == "[":
-            return self._parse_array(text, start)
-        if c == "{":
-            raise self.error("inline tables are not supported")
-        if c == "'":
-            raise self.error("literal strings are not supported")
-        # Bare scalar: booleans and numbers.
-        j = start
-        while j < len(text) and text[j] not in ",] \t":
-            j += 1
-        token = text[start:j]
-        if token == "true":
-            return True, j
-        if token == "false":
-            return False, j
-        return self._parse_number(token), j
-
-    def _parse_number(self, token: str) -> Any:
-        body = token.lstrip("+-")
-        if not body:
-            raise self.error(f"invalid value {token!r}")
-        cleaned = token.replace("_", "")
-        if "_" in token:
-            # Underscores must separate digits on both sides.
-            for i, c in enumerate(token):
-                if c == "_" and not (
-                    0 < i < len(token) - 1
-                    and token[i - 1].isdigit()
-                    and token[i + 1].isdigit()
-                ):
-                    raise self.error(f"misplaced underscore in {token!r}")
-        is_float = any(c in body for c in ".eE")
-        try:
-            if is_float:
-                value = float(cleaned)
-            else:
-                return int(cleaned)
-        except ValueError:
-            raise self.error(f"invalid value {token!r}") from None
-        if value != value or value in (float("inf"), float("-inf")):
-            raise self.error("non-finite floats are not supported")
-        return value
-
-    def _parse_array(self, text: str, start: int) -> Tuple[List[Any], int]:
-        """Parse an array at ``text[start] == '['`` (single line of it).
-
-        Multi-line arrays are joined into one logical line *before* this
-        runs (see :meth:`_logical_line`), so here brackets always balance.
-        """
-        items: List[Any] = []
-        i = start + 1
-        expect_value = True
-        while i < len(text):
-            while i < len(text) and text[i] in " \t":
-                i += 1
-            if i >= len(text):
-                break
-            c = text[i]
-            if c == "]":
-                return items, i + 1
-            if c == ",":
-                if expect_value:
-                    raise self.error("misplaced comma in array")
-                expect_value = True
-                i += 1
-                continue
-            if not expect_value:
-                raise self.error("missing comma in array")
-            value, i = self._parse_value(text, i)
-            items.append(value)
-            expect_value = False
-        raise self.error("unterminated array")
-
-    # -- line assembly --------------------------------------------------
-    def _logical_line(self) -> Tuple[str, bool]:
-        """The next non-empty logical line (multi-line arrays joined)."""
-        while self.lineno < len(self.lines):
-            raw = self.lines[self.lineno]
-            self.lineno += 1
-            line = self._strip_comment(raw).strip()
-            if not line:
-                continue
-            # Join continuation lines while an array is open.
-            while self._open_brackets(line) > 0:
-                if self.lineno >= len(self.lines):
-                    raise self.error("unterminated array")
-                extra = self.lines[self.lineno]
-                self.lineno += 1
-                line = line + " " + self._strip_comment(extra).strip()
-            return line, True
-        return "", False
-
-    def _open_brackets(self, line: str) -> int:
-        depth = 0
-        i = 0
-        # A header line ([table] / [[array]]) is never a value context.
-        if line.startswith("["):
-            return 0
-        while i < len(line):
-            c = line[i]
-            if c == '"':
-                _, i = self._scan_string(line, i)
-                continue
-            if c == "[":
-                depth += 1
-            elif c == "]":
-                depth -= 1
-            i += 1
-        return depth
-
-    # -- document structure ---------------------------------------------
-    def parse(self) -> Dict[str, Any]:
-        root: Dict[str, Any] = {}
-        current = root
-        while True:
-            line, more = self._logical_line()
-            if not more:
-                return root
-            if line.startswith("[["):
-                if not line.endswith("]]"):
-                    raise self.error("malformed [[array-of-tables]] header")
-                path = self._parse_key_path(line[2:-2])
-                current = self._enter_array_of_tables(root, path)
-            elif line.startswith("["):
-                if not line.endswith("]"):
-                    raise self.error("malformed [table] header")
-                path = self._parse_key_path(line[1:-1])
-                current = self._enter_table(root, path)
-            else:
-                self._parse_assignment(line, current)
-
-    def _descend(self, root: Dict[str, Any], path: List[str]) -> Dict[str, Any]:
-        node = root
-        for part in path:
-            child = node.setdefault(part, {})
-            if isinstance(child, list):
-                if not child or not isinstance(child[-1], dict):
-                    raise self.error(f"key {part!r} is not a table")
-                child = child[-1]
-            if not isinstance(child, dict):
-                raise self.error(f"key {part!r} is not a table")
-            node = child
-        return node
-
-    def _enter_table(
-        self, root: Dict[str, Any], path: List[str]
-    ) -> Dict[str, Any]:
-        parent = self._descend(root, path[:-1])
-        name = path[-1]
-        if name in parent:
-            raise self.error(f"table {'.'.join(path)!r} defined twice")
-        table: Dict[str, Any] = {}
-        parent[name] = table
-        return table
-
-    def _enter_array_of_tables(
-        self, root: Dict[str, Any], path: List[str]
-    ) -> Dict[str, Any]:
-        parent = self._descend(root, path[:-1])
-        name = path[-1]
-        array = parent.setdefault(name, [])
-        if not isinstance(array, list):
-            raise self.error(
-                f"key {'.'.join(path)!r} is already a non-array value"
-            )
-        table: Dict[str, Any] = {}
-        array.append(table)
-        return table
-
-    def _parse_assignment(self, line: str, table: Dict[str, Any]) -> None:
-        # Find the '=' outside any string.
-        i = 0
-        eq = -1
-        while i < len(line):
-            c = line[i]
-            if c == '"':
-                _, i = self._scan_string(line, i)
-                continue
-            if c == "=":
-                eq = i
-                break
-            i += 1
-        if eq < 0:
-            raise self.error(f"expected 'key = value', got {line!r}")
-        path = self._parse_key_path(line[:eq])
-        value, end = self._parse_value(line, eq + 1)
-        if line[end:].strip():
-            raise self.error(f"trailing content {line[end:].strip()!r}")
-        target = self._descend(table, path[:-1])
-        name = path[-1]
-        if name in target:
-            raise self.error(f"key {name!r} assigned twice")
-        target[name] = value
-
-
-def loads(text: str) -> Dict[str, Any]:
-    """Parse a TOML-subset document into nested dicts/lists/scalars."""
-    return _Parser(text).parse()
-
-
-def load(path: str) -> Dict[str, Any]:
-    """Parse the TOML-subset file at ``path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise TomlError(f"cannot read {path}: {exc}") from exc
-    try:
-        return loads(text)
-    except TomlError as exc:
-        raise TomlError(f"{path}: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Writing
-# ----------------------------------------------------------------------
 def _format_key(key: str) -> str:
     if _is_bare_key(key):
         return key
@@ -376,7 +46,7 @@ def _format_string(value: str) -> str:
                     out.append("\\" + name)
                     break
         elif ord(c) < 0x20:
-            raise TomlError(
+            raise ScenarioError(
                 f"unrepresentable control character {c!r} in string"
             )
         else:
@@ -392,7 +62,7 @@ def _format_value(value: Any) -> str:
         return str(value)
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
-            raise TomlError("non-finite floats are not representable")
+            raise ScenarioError("non-finite floats are not representable")
         text = repr(value)
         # repr(float) of an integral float is e.g. '4.0' — already valid.
         return text
@@ -400,7 +70,7 @@ def _format_value(value: Any) -> str:
         return _format_string(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_value(v) for v in value) + "]"
-    raise TomlError(f"unrepresentable value of type {type(value).__name__}")
+    raise ScenarioError(f"unrepresentable value of type {type(value).__name__}")
 
 
 def _is_table_array(value: Any) -> bool:
@@ -438,11 +108,12 @@ def dumps(document: Dict[str, Any]) -> str:
     """Render nested dicts/lists/scalars as a TOML-subset document.
 
     Key order follows the document's insertion order, so a dict built in
-    canonical order dumps stably — ``loads(dumps(d))`` reproduces ``d``
-    and ``dumps(loads(text))`` is a fixed point after one round trip.
+    canonical order dumps stably — ``tomllib.loads(dumps(d))`` reproduces
+    ``d`` and ``dumps(tomllib.loads(text))`` is a fixed point after one
+    round trip.
     """
     if not isinstance(document, dict):
-        raise TomlError("top-level TOML value must be a table")
+        raise ScenarioError("top-level TOML value must be a table")
     out: List[str] = []
     _dump_table(document, "", out)
     while out and out[0] == "":

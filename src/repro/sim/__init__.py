@@ -4,20 +4,14 @@
 ``server``  – the Power 720-class box: two sockets sharing one VRM chip.
 ``engine``  – 32 ms tick-level transient driver (firmware dynamics).
 ``results`` – result containers with derived metrics.
-``run``     – high-level measurement helpers used by examples and benchmarks.
+``run``     – the server factory (``build_server``).
 ``cache``   – keyed operating-point cache (memory LRU + JSON disk layer).
 ``batch``   – parallel sweep runner executing grids of independent tasks.
 """
 
 from .engine import TickResult, TransientEngine
-from .results import RunResult, SteadyState
-from .run import (
-    active_mean_frequency,
-    build_server,
-    core_scaling_sweep,
-    measure_consolidated,
-    measure_placement,
-)
+from .results import RunResult, SteadyState, active_mean_frequency
+from .run import build_server
 from .server import Power720Server, ServerOperatingPoint
 from .socket import ProcessorSocket, SocketSolution
 from .cache import CacheStats, OperatingPointCache, fingerprint
@@ -29,6 +23,7 @@ from .batch import (
     default_runner,
     derive_seed,
     set_default_runner,
+    settle_task,
 )
 
 __all__ = [
@@ -47,12 +42,10 @@ __all__ = [
     "TransientEngine",
     "active_mean_frequency",
     "build_server",
-    "core_scaling_sweep",
     "core_scaling_tasks",
     "default_runner",
     "derive_seed",
     "fingerprint",
-    "measure_consolidated",
-    "measure_placement",
     "set_default_runner",
+    "settle_task",
 ]

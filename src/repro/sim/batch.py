@@ -42,8 +42,9 @@ from ..obs import observability
 from ..workloads.profile import WorkloadProfile
 from ..workloads.scaling import RuntimeModel, SocketShare
 from .cache import CacheStats, OperatingPointCache, fingerprint
-from .results import RunResult, SteadyState
-from .run import active_mean_frequency, build_server
+from .results import RunResult, SteadyState, active_mean_frequency
+from .run import build_server
+from .server import Power720Server
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..core.placement import Placement
@@ -270,19 +271,21 @@ def _runtime_model(params: Optional[Tuple[float, float]]) -> RuntimeModel:
     return RuntimeModel(socket_bandwidth=params[0], cross_socket_penalty=params[1])
 
 
-def _settle_mode(
-    config: ServerConfig, seed: int, task: SweepTask, mode: GuardbandMode
-) -> SteadyState:
-    """Settle one mode of one task on a fresh server.
+def settle_task(
+    server: Power720Server,
+    task: SweepTask,
+    runtime: RuntimeModel,
+    modes: Sequence[GuardbandMode],
+) -> List[SteadyState]:
+    """Place ``task`` on ``server`` once, then settle each of ``modes``.
 
-    Always starting from a fresh server makes the result a pure function
-    of the arguments — the property the cache and the parallel schedule
-    both rely on.
+    The one realization of the three measurement procedures: the
+    placement is applied once (the server is cleared first), then every
+    mode settles in turn on that same live server, so later settles see
+    the thermal state the earlier ones left.  Returns one
+    :class:`SteadyState` per mode, in order.
     """
-    server = build_server(config, seed=seed)
-    runtime = _runtime_model(task.runtime_params)
     threads_per_core_for_runtime = 1
-
     if task.kind == "consolidated":
         server.clear()
         server.place(
@@ -312,23 +315,41 @@ def _settle_mode(
         raise ValueError(f"unknown task kind {task.kind!r}")
 
     n_active = sum(s.chip.n_active_cores() for s in server.sockets)
-    point = server.operate(mode, task.f_target)
-    frequency = active_mean_frequency(point)
-    execution_time = runtime.execution_time(
-        task.profile,
-        share,
-        frequency=frequency,
-        reference_frequency=server.config.chip.f_nominal,
-        threads_per_core=threads_per_core_for_runtime,
-    )
-    return SteadyState(
-        workload=task.profile.name,
-        mode=mode,
-        n_active_cores=n_active,
-        point=point,
-        execution_time=execution_time,
-        active_frequency=frequency,
-    )
+    states = []
+    for mode in modes:
+        point = server.operate(mode, task.f_target)
+        frequency = active_mean_frequency(point)
+        execution_time = runtime.execution_time(
+            task.profile,
+            share,
+            frequency=frequency,
+            reference_frequency=server.config.chip.f_nominal,
+            threads_per_core=threads_per_core_for_runtime,
+        )
+        states.append(
+            SteadyState(
+                workload=task.profile.name,
+                mode=mode,
+                n_active_cores=n_active,
+                point=point,
+                execution_time=execution_time,
+                active_frequency=frequency,
+            )
+        )
+    return states
+
+
+def _settle_mode(
+    config: ServerConfig, seed: int, task: SweepTask, mode: GuardbandMode
+) -> SteadyState:
+    """Settle one mode of one task on a fresh server.
+
+    Always starting from a fresh server makes the result a pure function
+    of the arguments — the property the cache and the parallel schedule
+    both rely on.
+    """
+    server = build_server(config, seed=seed)
+    return settle_task(server, task, _runtime_model(task.runtime_params), (mode,))[0]
 
 
 def _execute_task(
@@ -726,9 +747,6 @@ class SweepRunner:
         """:meth:`run`, returning just the results."""
         return list(self.run(tasks, config, seed_root=seed_root).results)
 
-    # ------------------------------------------------------------------
-    # Convenience wrappers mirroring the serial helpers in sim.run
-    # ------------------------------------------------------------------
     def core_scaling_sweep(
         self,
         profile: WorkloadProfile,
@@ -737,7 +755,11 @@ class SweepRunner:
         config: Optional[ServerConfig] = None,
         threads_per_core: int = 1,
     ) -> List[RunResult]:
-        """Batched equivalent of :func:`repro.sim.run.core_scaling_sweep`."""
+        """The 1→``n`` active-core sweep (Figs. 3–5) as one batch.
+
+        :func:`repro.api.sweep` is the public entry point; this is the
+        raw runner call the figure builders use.
+        """
         return self.run_results(
             core_scaling_tasks(
                 profile, mode, core_counts, threads_per_core=threads_per_core

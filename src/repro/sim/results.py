@@ -3,11 +3,39 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from ..guardband import GuardbandMode
 from ..workloads.profile import WorkloadProfile
 from .server import ServerOperatingPoint
+
+
+def active_mean_frequency(point: ServerOperatingPoint) -> float:
+    """Mean clock over the cores that ran threads when ``point`` settled.
+
+    Contract
+    --------
+    * At least one active core: the mean clock of exactly those cores, as
+      recorded in each solution's ``active_core_ids`` at solve time.
+    * Fully idle server: there is no active core to average, so the
+      explicit idle frequency is returned — the mean clock of every parked
+      core across *all* sockets.
+
+    The operating point is self-contained: no live server state is
+    consulted, so the function is valid for cached or deserialized points
+    whose server has since been re-placed.
+    """
+    active: List[float] = []
+    everything: List[float] = []
+    for socket_point in point.sockets:
+        solution = socket_point.solution
+        everything.extend(solution.frequencies)
+        active.extend(
+            solution.frequencies[i] for i in solution.active_core_ids
+        )
+    if not active:
+        return sum(everything) / len(everything)
+    return sum(active) / len(active)
 
 
 @dataclass(frozen=True)
@@ -69,10 +97,10 @@ class RunResult:
     @property
     def frequency_boost_fraction(self) -> float:
         """Relative clock gain of the adaptive mode over the static target."""
-        static_freq = self.static.active_frequency or _active_mean_frequency(
+        static_freq = self.static.active_frequency or active_mean_frequency(
             self.static.point
         )
-        adaptive_freq = self.adaptive.active_frequency or _active_mean_frequency(
+        adaptive_freq = self.adaptive.active_frequency or active_mean_frequency(
             self.adaptive.point
         )
         return adaptive_freq / static_freq - 1.0
@@ -97,11 +125,3 @@ class RunResult:
         if self.static.edp is None or self.adaptive.edp is None:
             raise ValueError("EDP requires runtime estimates")
         return 1.0 - self.adaptive.edp / self.static.edp
-
-
-def _active_mean_frequency(point: ServerOperatingPoint) -> float:
-    """Mean clock of cores actually running threads (falls back to all)."""
-    freqs = []
-    for socket_point in point.sockets:
-        freqs.extend(socket_point.solution.frequencies)
-    return sum(freqs) / len(freqs)

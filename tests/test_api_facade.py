@@ -4,13 +4,11 @@ import pytest
 
 import repro
 from repro import GuardbandMode, build_server, measure, sweep
-from repro.core.evaluate import measure_scheduled
 from repro.core.placement import Placement, ThreadGroup
 from repro.errors import SchedulingError
 from repro.sim.batch import SweepRunner
 from repro.sim.cache import OperatingPointCache
-from repro.sim.run import measure_consolidated, measure_placement
-from repro.workloads.scaling import SocketShare
+from tests.test_measure_reference import reference_measure
 
 
 class TestResolution:
@@ -42,62 +40,50 @@ class TestResolution:
 
 
 class TestVariantEquivalence:
-    """The facade is the canonical implementation; the legacy entry points
-    delegate to it.  Same seed + same placement must give bit-identical
-    results through either path."""
+    """Pinned cases of the reference suite (``test_measure_reference``):
+    the facade against its former per-variant implementations, kept
+    verbatim there as ``reference_measure``.  Same seed + same placement
+    must give bit-identical results through either path."""
 
     def test_consolidated_matches_legacy(self, raytrace):
-        legacy = measure_consolidated(
-            build_server(), raytrace, 4, GuardbandMode.UNDERVOLT
+        legacy = reference_measure(
+            raytrace, n_threads=4, mode=GuardbandMode.UNDERVOLT,
+            server=build_server(),
         )
         unified = measure("raytrace", n_threads=4, mode="undervolt")
-        assert legacy.adaptive.point.chip_power == unified.adaptive.point.chip_power
-        assert legacy.static.execution_time == unified.static.execution_time
-        assert legacy.n_active_cores == unified.n_active_cores
+        assert legacy == unified
 
     def test_placement_matches_legacy(self, raytrace):
-        legacy = measure_placement(
-            build_server(), raytrace, SocketShare((2, 2)),
-            GuardbandMode.UNDERVOLT, keep_on=(2, 2),
+        legacy = reference_measure(
+            raytrace, placement=(2, 2), keep_on=(2, 2), server=build_server()
         )
         unified = measure("raytrace", placement=(2, 2), keep_on=(2, 2))
-        assert legacy.adaptive.point.chip_power == unified.adaptive.point.chip_power
-        assert legacy.adaptive.active_frequency == unified.adaptive.active_frequency
+        assert legacy == unified
 
     def test_schedule_matches_legacy(self, raytrace):
         plan = Placement(
             groups=((ThreadGroup(raytrace, 2),), (ThreadGroup(raytrace, 2),))
         )
-        legacy = measure_scheduled(
-            build_server(), plan, raytrace, GuardbandMode.UNDERVOLT
-        )
+        legacy = reference_measure(raytrace, schedule=plan, server=build_server())
         unified = measure(raytrace, schedule=plan)
-        assert legacy.adaptive.point.chip_power == unified.adaptive.point.chip_power
-        assert legacy.adaptive.execution_time == unified.adaptive.execution_time
+        assert legacy == unified
 
     def test_seed_is_plumbed_to_the_server_build(self, raytrace):
-        legacy = measure_consolidated(
-            build_server(seed=11), raytrace, 4, GuardbandMode.UNDERVOLT
+        legacy = reference_measure(
+            raytrace, n_threads=4, server=build_server(seed=11)
         )
         unified = measure("raytrace", n_threads=4, seed=11)
-        assert (
-            legacy.adaptive.point.socket_point(0).solution
-            == unified.adaptive.point.socket_point(0).solution
-        )
+        assert legacy == unified
 
     def test_server_reuse_matches_legacy_reuse(self, raytrace):
         # Reused servers keep thermal state across clear(); the facade must
         # mirror the legacy path exactly under the same call sequence.
         legacy_server, unified_server = build_server(), build_server()
-        measure_consolidated(
-            legacy_server, raytrace, 8, GuardbandMode.UNDERVOLT
-        )
-        legacy = measure_consolidated(
-            legacy_server, raytrace, 1, GuardbandMode.UNDERVOLT
-        )
+        reference_measure(raytrace, n_threads=8, server=legacy_server)
+        legacy = reference_measure(raytrace, n_threads=1, server=legacy_server)
         measure("raytrace", n_threads=8, server=unified_server)
         unified = measure("raytrace", n_threads=1, server=unified_server)
-        assert legacy.adaptive.point.chip_power == unified.adaptive.point.chip_power
+        assert legacy == unified
 
 
 class TestSelectorValidation:

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import measure
 from repro.config import ServerConfig
 from repro.core.consolidation import ConsolidationScheduler
-from repro.core.evaluate import measure_scheduled
 from repro.guardband import GuardbandMode
 from repro.sim.batch import (
     SweepRunner,
@@ -25,7 +25,6 @@ from repro.sim.cache import (
     encode_steady_state,
     fingerprint,
 )
-from repro.sim.run import build_server, measure_consolidated
 from repro.workloads import get_profile
 
 
@@ -74,9 +73,7 @@ class TestSweepRunnerMatchesSerial:
             core_scaling_tasks(raytrace, GuardbandMode.UNDERVOLT, (1, 4, 8))
         )
         for n, got in zip((1, 4, 8), results):
-            ref = measure_consolidated(
-                build_server(), raytrace, n, GuardbandMode.UNDERVOLT
-            )
+            ref = measure(raytrace, n_threads=n, mode=GuardbandMode.UNDERVOLT)
             # The static half settles first on a fresh server in both
             # schedules, so it is bit-identical; the adaptive half starts
             # from a fresh server here (vs the serial path's shared one),
@@ -93,9 +90,7 @@ class TestSweepRunnerMatchesSerial:
         placement = scheduler.schedule(raytrace, 4, 8)
         task = SweepTask.scheduled(placement, raytrace, GuardbandMode.UNDERVOLT)
         got = runner.run_results([task])[0]
-        ref = measure_scheduled(
-            build_server(), placement, raytrace, GuardbandMode.UNDERVOLT
-        )
+        ref = measure(raytrace, schedule=placement, mode=GuardbandMode.UNDERVOLT)
         assert got.static.point == ref.static.point
         assert got.adaptive.point.chip_power == pytest.approx(
             ref.adaptive.point.chip_power, rel=1e-4

@@ -51,6 +51,26 @@ def placement() -> Placement:
     )
 
 
+def settle_capped_linear(sim, placement, mode, cap_w):
+    """Reference linear descending cap walk (pre-bisection semantics).
+
+    The walk ``FleetSimulation._settle_capped`` replaced: step down the
+    fastest-first menu, skipping ceilings at or above the current
+    settle's slowest clock, and stop at the first point that fits; when
+    none fits, the last (slowest) point settled is the best effort.
+    """
+    result = sim._settle(placement, mode)
+    if cap_w is None or result.adaptive.point.server_power <= cap_w:
+        return result, False
+    for frequency in sim._cap_walk_frequencies():
+        if frequency >= result.adaptive.point.min_frequency:
+            continue  # not slower than the current settle
+        result = sim._settle(placement, mode, frequency)
+        if result.adaptive.point.server_power <= cap_w:
+            break
+    return result, True
+
+
 def _sweep_caps(sim, placement, mode):
     """Cap values probing every decision boundary of the DVFS table."""
     uncapped = sim._settle(placement, mode)
@@ -73,8 +93,8 @@ class TestBisectionMatchesLinearWalk:
     def test_full_table_sweep(self, sim, placement, mode):
         for cap_w in _sweep_caps(sim, placement, mode):
             fast, fast_throttled = sim._settle_capped(placement, mode, cap_w)
-            ref, ref_throttled = sim._settle_capped_linear(
-                placement, mode, cap_w
+            ref, ref_throttled = settle_capped_linear(
+                sim, placement, mode, cap_w
             )
             assert fast_throttled == ref_throttled, f"cap={cap_w}"
             # Settles are cached by coordinate, so "the same selected

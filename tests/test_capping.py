@@ -4,6 +4,8 @@ import pytest
 
 from repro.api import measure
 from repro.errors import SchedulingError
+from repro.fleet import FleetConfig, TrafficConfig
+from repro.fleet.engine import FleetSimulation
 from repro.guardband.capping import PowerCapPolicy
 from repro.workloads import get_profile
 
@@ -114,6 +116,29 @@ class TestMeasureFacadeCap:
             capped.adaptive.point.min_frequency
             < free.adaptive.point.min_frequency
         )
+
+
+    @pytest.mark.parametrize("mode", ["undervolt", "overclock"])
+    @pytest.mark.parametrize("workload, n_threads", [("raytrace", 8), ("fft", 4)])
+    def test_capped_picks_lie_on_the_fleet_menu(self, workload, n_threads, mode):
+        """``measure(power_cap=)`` can only land where the fleet can."""
+        fleet = FleetSimulation(
+            FleetConfig(
+                n_servers=1,
+                traffic=TrafficConfig(duration_seconds=3600.0, jobs_per_hour=10.0),
+            )
+        )
+        kwargs = dict(mode=mode, n_threads=n_threads)
+        uncapped = measure(workload, **kwargs)
+        on_menu = [uncapped] + [
+            measure(workload, f_target=frequency, **kwargs)
+            for frequency in fleet._cap_walk_frequencies()
+        ]
+        top = uncapped.adaptive.point.server_power
+        floor = on_menu[-1].adaptive.point.server_power
+        for step in range(14):
+            cap = floor + (top - floor) * (step + 0.5) / 14
+            assert measure(workload, power_cap=cap, **kwargs) in on_menu, cap
 
 
 class TestAdaptiveAdvantage:

@@ -170,8 +170,8 @@ class TestExitCodeRegistry:
 
     def test_every_subclass_resolves_to_a_distinct_family_code(self):
         # Each family maps to its own code; an unregistered subclass
-        # (TomlError, by design — the codec re-wraps it) falls to the
-        # ReproError catch-all 11 rather than colliding with a family.
+        # falls to the ReproError catch-all 11 rather than colliding with
+        # a family.
         registered = {cls for cls, _ in ERROR_EXIT_CODES}
         for cls in self._all_repro_error_classes():
             code = exit_code_for(cls("x"))

@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import measure
 from repro.config import (
     ChipConfig,
     DidtConfig,
@@ -17,7 +18,7 @@ from repro.config import (
 )
 from repro.errors import ConvergenceError
 from repro.guardband import GuardbandMode
-from repro.sim.run import build_server, measure_consolidated
+from repro.sim.run import build_server
 from repro.workloads import get_profile
 
 
@@ -58,8 +59,8 @@ class TestFirmwareDegradedModes:
         didt = dataclasses.replace(DidtConfig(), droop_single_core=0.200)
         config = ServerConfig(pdn=dataclasses.replace(PdnConfig(), didt=didt))
         server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 4, GuardbandMode.UNDERVOLT
+        result = measure(
+            "raytrace", n_threads=4, mode=GuardbandMode.UNDERVOLT, server=server
         )
         assert result.adaptive.point.socket_point(0).undervolt == 0.0
 
@@ -67,8 +68,8 @@ class TestFirmwareDegradedModes:
         didt = dataclasses.replace(DidtConfig(), droop_single_core=0.200)
         config = ServerConfig(pdn=dataclasses.replace(PdnConfig(), didt=didt))
         server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 8, GuardbandMode.OVERCLOCK
+        result = measure(
+            "raytrace", n_threads=8, mode=GuardbandMode.OVERCLOCK, server=server
         )
         freqs = result.adaptive.point.socket_point(0).solution.frequencies
         assert min(freqs) >= config.chip.f_min
@@ -77,8 +78,8 @@ class TestFirmwareDegradedModes:
         """A 50 mV static guardband leaves nothing to harvest at load."""
         config = ServerConfig(guardband=GuardbandConfig(static_guardband=0.050))
         server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("lu_cb"), 8, GuardbandMode.UNDERVOLT
+        result = measure(
+            "lu_cb", n_threads=8, mode=GuardbandMode.UNDERVOLT, server=server
         )
         assert result.adaptive.point.socket_point(0).undervolt == 0.0
 
@@ -88,23 +89,23 @@ class TestReducedPlatforms:
         chip = dataclasses.replace(ChipConfig(), n_cores=4)
         config = ServerConfig(chip=chip)
         server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 4, GuardbandMode.UNDERVOLT
+        result = measure(
+            "raytrace", n_threads=4, mode=GuardbandMode.UNDERVOLT, server=server
         )
         assert 0 < result.power_saving_fraction < 0.3
 
     def test_single_socket_server_works(self):
         config = ServerConfig(n_sockets=1)
         server = build_server(config)
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 2, GuardbandMode.UNDERVOLT
+        result = measure(
+            "raytrace", n_threads=2, mode=GuardbandMode.UNDERVOLT, server=server
         )
         assert result.adaptive.chip_power < result.static.chip_power
 
     def test_single_cpm_per_core_works(self):
         chip = dataclasses.replace(ChipConfig(), cpms_per_core=1)
         server = build_server(ServerConfig(chip=chip))
-        result = measure_consolidated(
-            server, get_profile("raytrace"), 2, GuardbandMode.OVERCLOCK
+        result = measure(
+            "raytrace", n_threads=2, mode=GuardbandMode.OVERCLOCK, server=server
         )
         assert result.frequency_boost_fraction > 0

@@ -1,23 +1,25 @@
-"""The in-repo TOML subset reader/writer behind scenario files.
+"""Scenario TOML: read with the stdlib ``tomllib``, written by ``tomlio``.
 
-The parser only has to carry the scenario schema (strings, numbers,
-booleans, arrays, ``[table]`` and ``[[array-of-tables]]`` headers), but
-within that subset it must agree with a real TOML implementation — when
-:mod:`tomllib` is importable it is used as the oracle.
+The codec parses with :mod:`tomllib` plus a float hook that rejects
+``nan``/``inf``, and wraps every decode error as a
+:class:`~repro.errors.ScenarioError` that keeps tomllib's line/column
+text.  :func:`repro.scenarios.tomlio.dumps` is the writer; everything it
+emits must read back through :mod:`tomllib` to the same document.
 """
 
 import math
+import tomllib
 
 import pytest
 
-from repro.errors import ReproError
-from repro.scenarios import tomlio
-from repro.scenarios.tomlio import TomlError
+from repro.cli import exit_code_for
+from repro.errors import ReproError, ScenarioError
+from repro.scenarios import codec, tomlio
 
-try:  # Python >= 3.11; the CI floor is 3.9.
-    import tomllib
-except ImportError:  # pragma: no cover - exercised on 3.9/3.10
-    tomllib = None
+
+def parse(text):
+    """The codec's read: tomllib with the finite-float hook."""
+    return tomllib.loads(text, parse_float=codec._finite_float)
 
 
 SAMPLE = """\
@@ -51,7 +53,7 @@ job_id = 12
 
 class TestParse:
     def test_tables_and_scalars(self):
-        doc = tomlio.loads(SAMPLE)
+        doc = parse(SAMPLE)
         assert doc["scenario"]["name"] == "sample"
         assert doc["scenario"]["seed"] == 7
         assert isinstance(doc["scenario"]["seed"], int)
@@ -62,7 +64,7 @@ class TestParse:
         assert doc["policy"]["gated"] is False
 
     def test_multiline_array_and_array_of_tables(self):
-        doc = tomlio.loads(SAMPLE)
+        doc = parse(SAMPLE)
         assert doc["traffic"]["surges"] == [
             [3600.0, 600.0, 4.0],
             [7200.0, 600.0, 0.5],
@@ -71,8 +73,8 @@ class TestParse:
         assert kinds == ["server_crash", "job_kill"]
 
     def test_empty_document(self):
-        assert tomlio.loads("") == {}
-        assert tomlio.loads("# only a comment\n") == {}
+        assert parse("") == {}
+        assert parse("# only a comment\n") == {}
 
     @pytest.mark.parametrize(
         "text",
@@ -82,7 +84,6 @@ class TestParse:
             "a = nan\n",                   # non-finite number
             "a = inf\n",                   # non-finite number
             "a = \n",                      # missing value
-            "a = 'single'\n",              # unsupported literal string
             "= 3\n",                       # missing key
             "[unclosed\n",                 # bad header
             'a = "unterminated\n',         # unterminated string
@@ -90,45 +91,66 @@ class TestParse:
         ],
     )
     def test_malformed_input_raises_toml_error(self, text):
-        with pytest.raises(TomlError):
-            tomlio.loads(text)
+        with pytest.raises(ScenarioError, match="invalid scenario TOML"):
+            codec.loads(text)
+
+    @pytest.mark.parametrize("text", ["a = -inf\n", "a = +nan\n", "a = [1.0, inf]\n"])
+    def test_every_non_finite_spelling_is_rejected(self, text):
+        with pytest.raises(ScenarioError, match="non-finite"):
+            codec.loads(text)
 
     def test_toml_error_is_a_repro_error(self):
-        assert issubclass(TomlError, ReproError)
+        # Malformed TOML surfaces as a ScenarioError: CLI exit code 12.
+        with pytest.raises(ScenarioError) as raised:
+            codec.loads("a = \n")
+        assert isinstance(raised.value, ReproError)
+        assert exit_code_for(raised.value) == 12
 
     def test_error_carries_line_number(self):
-        with pytest.raises(TomlError, match="line 3"):
-            tomlio.loads("a = 1\nb = 2\nc = oops\n")
+        with pytest.raises(ScenarioError, match="line 3"):
+            codec.loads("a = 1\nb = 2\nc = oops\n")
+
+    def test_load_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "broken.toml"
+        path.write_text("[scenario]\nname = \n", encoding="utf-8")
+        with pytest.raises(ScenarioError, match=r"broken\.toml.*line 2"):
+            codec.load(str(path))
+
+    def test_unreadable_file_is_a_scenario_error(self, tmp_path):
+        with pytest.raises(ScenarioError, match="cannot read"):
+            codec.load(str(tmp_path / "missing.toml"))
 
 
 class TestRoundTrip:
     def test_dump_parse_dump_is_stable(self):
-        doc = tomlio.loads(SAMPLE)
+        doc = parse(SAMPLE)
         once = tomlio.dumps(doc)
-        twice = tomlio.dumps(tomlio.loads(once))
+        twice = tomlio.dumps(parse(once))
         assert once == twice
 
     def test_round_trip_preserves_values(self):
-        doc = tomlio.loads(SAMPLE)
-        assert tomlio.loads(tomlio.dumps(doc)) == doc
+        doc = parse(SAMPLE)
+        assert tomllib.loads(tomlio.dumps(doc)) == doc
 
     def test_string_escapes_survive(self):
         doc = {"t": {"s": 'quote " backslash \\ tab \t'}}
-        assert tomlio.loads(tomlio.dumps(doc)) == doc
+        assert tomllib.loads(tomlio.dumps(doc)) == doc
 
     def test_floats_keep_identity(self):
         doc = {"t": {"x": 0.1, "y": 1e-9, "z": 12345.678901234}}
-        out = tomlio.loads(tomlio.dumps(doc))
+        out = tomllib.loads(tomlio.dumps(doc))
         for key, value in doc["t"].items():
             assert math.isclose(out["t"][key], value, rel_tol=0, abs_tol=0)
 
+    def test_non_finite_floats_are_not_written(self):
+        with pytest.raises(ScenarioError):
+            tomlio.dumps({"t": {"x": float("nan")}})
 
-@pytest.mark.skipif(tomllib is None, reason="tomllib needs Python >= 3.11")
+
 class TestAgainstTomllib:
     def test_sample_matches_tomllib(self):
-        ours = tomlio.loads(SAMPLE)
-        theirs = tomllib.loads(SAMPLE)
-        assert ours == theirs
+        # The finite-float hook validates; it never changes a value.
+        assert parse(SAMPLE) == tomllib.loads(SAMPLE)
 
     def test_catalog_matches_tomllib(self):
         from repro.scenarios import catalog_paths
@@ -136,8 +158,9 @@ class TestAgainstTomllib:
         for path in catalog_paths():
             with open(path, "rb") as handle:
                 theirs = tomllib.load(handle)
-            assert tomlio.load(path) == theirs, path
+            with open(path, encoding="utf-8") as handle:
+                assert parse(handle.read()) == theirs, path
 
     def test_dumps_output_is_valid_toml(self):
-        doc = tomlio.loads(SAMPLE)
+        doc = parse(SAMPLE)
         assert tomllib.loads(tomlio.dumps(doc)) == doc
