@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import List, Optional
 
@@ -124,7 +123,7 @@ _POSITIVE_INT_OPTIONS = (
 )
 _NONNEGATIVE_INT_OPTIONS = ("crash_server", "corrupt_server", "corrupt_socket")
 _POSITIVE_FLOAT_OPTIONS = (
-    "duration", "rate", "threshold", "power_cap", "power_budget",
+    "duration", "rate", "power_cap", "power_budget",
     "cap_interval", "cap_gain",
 )
 _FRACTION_OPTIONS = ("lc_fraction",)
@@ -525,97 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed of the injector's jitter stream (default 0)",
     )
 
-    bench = commands.add_parser(
-        "bench",
-        parents=common,
-        help="time a benchmark suite into a trend file, or gate the trend",
-    )
-    bench.add_argument(
-        "suite",
-        choices=("fleet", "region", "sweep", "scenario", "cap", "gate"),
-        help="fleet: time the fleet day (scalar baseline vs sharded); "
-        "region: time a region-scale day against the shared settle "
-        "cache (cold vs warm, digest checked across shard counts); "
-        "sweep: time the Fig. 13 borrowing build; scenario: time a "
-        "catalog scenario end to end; cap: time the power-capped "
-        "rack-budget scenario; gate: fail if the newest entry "
-        "regressed past the threshold",
-    )
-    bench.add_argument(
-        "paths",
-        nargs="*",
-        metavar="TREND_FILE",
-        help="trend files for 'gate' (default: every BENCH_*.json present)",
-    )
-    bench.add_argument(
-        "--servers", type=int, default=8, help="fleet size (default 8)"
-    )
-    bench.add_argument(
-        "--duration",
-        type=float,
-        default=7200.0,
-        help="fleet trace horizon in seconds (default 7200)",
-    )
-    bench.add_argument(
-        "--rate",
-        type=float,
-        default=200.0,
-        help="fleet arrival rate in jobs/hour (default 200)",
-    )
-    bench.add_argument(
-        "--lc-fraction",
-        type=float,
-        default=0.2,
-        help="latency-critical fraction of arrivals (default 0.2)",
-    )
-    bench.add_argument(
-        "--cell-servers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cell width for the sharded run (default: whole fleet)",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="highest shard count to verify and time (default 2); the "
-        "suite always times 1 shard as well and asserts one digest",
-    )
-    bench.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="skip the scalar monolithic baseline (no speedup recorded)",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="after timing (fleet/region suites), run one cold in-process "
-        "day under cProfile and write the top-N cumulative report next "
-        "to the trend file (never recorded in the trend)",
-    )
-    bench.add_argument(
-        "--scenario-name",
-        metavar="NAME",
-        default=None,
-        help="catalog scenario the 'scenario' suite times (default: "
-        "heterogeneous_aging)",
-    )
-    bench.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        default=None,
-        help="trend file to append to (defaults to BENCH_fleet.json, "
-        "BENCH_sweep.json, BENCH_scenario.json or BENCH_cap.json per "
-        "suite)",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="allowed fractional slowdown for 'gate' (default 0.20)",
-    )
-
     scenario = commands.add_parser(
         "scenario",
         parents=common,
@@ -712,7 +620,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "export": _cmd_export,
         "metrics": _cmd_metrics,
         "chaos": _cmd_chaos,
-        "bench": _cmd_bench,
         "scenario": _cmd_scenario,
     }[args.command]
     try:
@@ -904,9 +811,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         cap_interval_seconds=args.cap_interval,
         cap_gain=args.cap_gain,
     )
+    sharded = args.shards > 1 or args.cell_servers is not None
+    if sharded and (args.cache_dir is not None or args.timings):
+        raise ConfigError(
+            "--cache-dir and --timings apply to the in-process runner; "
+            "they cannot be combined with --shards > 1 or --cell-servers"
+        )
     runner = _runner_from_args(args)
     gate = not args.no_advisor_gate
-    sharded = args.shards > 1 or args.cell_servers is not None
     if sharded:
         from .fleet.shard import run_sharded_comparison
 
@@ -1082,191 +994,6 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
     )
     print(report.render())
     return 0 if report.passed else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        CAP_BENCH_FILE,
-        DEFAULT_BENCH_SCENARIO,
-        DEFAULT_CAP_BENCH_SCENARIO,
-        FLEET_BENCH_FILE,
-        REGRESSION_THRESHOLD,
-        SCENARIO_BENCH_FILE,
-        SWEEP_BENCH_FILE,
-        bench_cap,
-        bench_fig13_sweep,
-        bench_fleet_day,
-        bench_fleet_region,
-        bench_scenario,
-        profile_fleet_day,
-        gate_trend,
-    )
-
-    def _maybe_profile(out: str) -> None:
-        if not getattr(args, "profile", False):
-            return
-        report = profile_fleet_day(
-            n_servers=args.servers,
-            duration_seconds=args.duration,
-            jobs_per_hour=args.rate,
-            lc_fraction=args.lc_fraction,
-            cell_servers=args.cell_servers,
-            seed=args.seed,
-            out_path=out,
-        )
-        print(f"profile (top {report['top_n']} by cumulative time): "
-              f"{report['profile_path']}")
-
-    if args.suite == "fleet":
-        out = args.bench_out or FLEET_BENCH_FILE
-        shard_counts = (1,) if args.shards <= 1 else (1, args.shards)
-        report = bench_fleet_day(
-            n_servers=args.servers,
-            duration_seconds=args.duration,
-            jobs_per_hour=args.rate,
-            lc_fraction=args.lc_fraction,
-            cell_servers=args.cell_servers,
-            shard_counts=shard_counts,
-            seed=args.seed,
-            baseline=not args.no_baseline,
-            out_path=out,
-        )
-        print(
-            f"fleet day: {report['n_servers']} server(s), "
-            f"{report['n_jobs']} job(s), {report['n_cells']} cell(s) x "
-            f"{report['cell_servers']} server(s)"
-        )
-        for shards, wall in sorted(report["sharded_wall_seconds"].items()):
-            print(f"  sharded ({shards} shard(s)): {wall:.3f}s")
-        print(f"  digest: {report['sharded_digest'][:16]}... "
-              "(identical across shard counts)")
-        if "baseline_wall_seconds" in report:
-            print(
-                f"  scalar baseline: {report['baseline_wall_seconds']:.3f}s"
-                f"  -> speedup x{report['speedup']:.2f}"
-            )
-        _maybe_profile(out)
-        print(f"recorded in {out}")
-        return 0
-    if args.suite == "region":
-        out = args.bench_out or FLEET_BENCH_FILE
-        if args.shards <= 1:
-            shard_counts = (1,)
-        elif args.shards < 4:
-            shard_counts = (1, args.shards)
-        else:
-            shard_counts = (1, 2, args.shards)
-        report = bench_fleet_region(
-            n_servers=args.servers,
-            duration_seconds=args.duration,
-            jobs_per_hour=args.rate,
-            lc_fraction=args.lc_fraction,
-            cell_servers=args.cell_servers or 16,
-            shard_counts=shard_counts,
-            seed=args.seed,
-            out_path=out,
-        )
-        print(
-            f"region day: {report['n_servers']} server(s), "
-            f"{report['n_jobs']} job(s)"
-        )
-        for shards, wall in sorted(report["wall_seconds"].items()):
-            print(f"  {shards} shard(s): {wall:.3f}s")
-        print(f"  digest: {report['digest'][:16]}... "
-              "(identical across shard counts)")
-        print(
-            f"  warm settle-cache rerun: {report['warm_wall_seconds']:.3f}s "
-            f"(cold {report['cold_wall_seconds']:.3f}s)"
-        )
-        print(f"  settle cache: {report['settle_cache_summary']}")
-        _maybe_profile(out)
-        print(f"recorded in {out}")
-        return 0
-    if args.suite == "sweep":
-        out = args.bench_out or SWEEP_BENCH_FILE
-        report = bench_fig13_sweep(out_path=out)
-        print(
-            f"fig13 borrowing sweep: {report['n_points']} point(s) in "
-            f"{report['wall_seconds']:.3f}s"
-        )
-        print(f"recorded in {out}")
-        return 0
-    if args.suite == "scenario":
-        out = args.bench_out or SCENARIO_BENCH_FILE
-        shard_counts = (1,) if args.shards <= 1 else (1, args.shards)
-        report = bench_scenario(
-            name=args.scenario_name or DEFAULT_BENCH_SCENARIO,
-            shard_counts=shard_counts,
-            out_path=out,
-        )
-        print(
-            f"scenario {report['scenario']}: {report['n_servers']} "
-            f"server(s), {report['n_jobs']} job(s)"
-        )
-        for shards, wall in sorted(report["wall_seconds"].items()):
-            print(f"  {shards} shard(s): {wall:.3f}s")
-        print(f"  digest: {report['digest'][:16]}... "
-              "(identical across shard counts)")
-        print(f"recorded in {out}")
-        return 0
-
-    if args.suite == "cap":
-        out = args.bench_out or CAP_BENCH_FILE
-        shard_counts = (1,) if args.shards <= 1 else (1, args.shards)
-        report = bench_cap(
-            name=args.scenario_name or DEFAULT_CAP_BENCH_SCENARIO,
-            shard_counts=shard_counts,
-            out_path=out,
-        )
-        print(
-            f"cap scenario {report['scenario']}: {report['n_servers']} "
-            f"server(s), {report['n_jobs']} job(s), "
-            f"budget {report['budget_w']:g} W"
-        )
-        print(
-            f"  {report['throttle_epochs']} throttled epoch(s), tracking "
-            f"error {report['tracking_error']:.1%}"
-        )
-        for shards, wall in sorted(report["wall_seconds"].items()):
-            print(f"  {shards} shard(s): {wall:.3f}s")
-        print(f"  digest: {report['digest'][:16]}... "
-              "(identical across shard counts)")
-        print(f"recorded in {out}")
-        return 0
-
-    # suite == "gate"
-    paths = args.paths or [
-        path
-        for path in (FLEET_BENCH_FILE, SWEEP_BENCH_FILE,
-                     SCENARIO_BENCH_FILE, CAP_BENCH_FILE)
-        if os.path.exists(path)
-    ]
-    if not paths:
-        raise ConfigError(
-            "no trend files to gate; run 'repro bench fleet' or "
-            "'repro bench sweep' first, or pass paths explicitly"
-        )
-    threshold = (
-        args.threshold if args.threshold is not None else REGRESSION_THRESHOLD
-    )
-    from .bench import BenchTrend
-
-    failed = False
-    for path in paths:
-        trend = BenchTrend.load(path)
-        for verdict in gate_trend(path, threshold=threshold):
-            status = "ok" if verdict.passed else "REGRESSED"
-            line = f"{path}: {verdict.name}: {status} ({verdict.message})"
-            latest = trend.latest(verdict.name)
-            cache_meta = (latest.meta.get("settle_cache") if latest else None)
-            if isinstance(cache_meta, dict) and "hit_rate" in cache_meta:
-                line += (
-                    f"; settle-cache hit rate "
-                    f"{float(cache_meta['hit_rate']):.0%}"
-                )
-            print(line)
-            failed = failed or not verdict.passed
-    return 1 if failed else 0
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -1486,7 +1213,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     try:
         registry = load_metrics(args.path)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read metrics snapshot {args.path}: {exc}")
+        print(
+            f"error: cannot read metrics snapshot {args.path}: {exc}",
+            file=sys.stderr,
+        )
         return 1
     if args.prometheus:
         print(registry.render_text(), end="")

@@ -256,13 +256,12 @@ def clear_fleet_memos() -> None:
     """Reset every process-wide fleet measurement memo.
 
     Timing code uses this to guarantee a genuinely cold run inside a
-    warm process (the scalar baseline of ``repro bench fleet``); tests
-    use it to observe the instrumentation a cold run emits.  Results
-    are unaffected either way — the memos only skip recomputation of
-    pure functions.  The shared settle cache drops its *memory* layer
-    only; a configured disk directory stays warm (that is the layer
-    ``repro bench region`` measures — pass a fresh directory for a
-    truly cold run).
+    warm process; tests use it to observe the instrumentation a cold
+    run emits.  Results are unaffected either way — the memos only skip
+    recomputation of pure functions.  The shared settle cache drops its
+    *memory* layer only; a configured disk directory stays warm (so a
+    rerun after this call reads the disk layer — pass a fresh directory
+    for a truly cold run).
     """
     from .scheduler import _freq_memo, _plan_memo, _predictor_memo
 

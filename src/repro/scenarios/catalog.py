@@ -2,7 +2,7 @@
 
 The catalog is plain files, not registered Python — adding a scenario is
 writing a TOML file, and every tool (CLI ``list``/``check``, the tests,
-the bench suite) discovers the same set by globbing the directory.  The
+the chaos campaign) discovers the same set by globbing the directory.  The
 default directory is resolved relative to the repository root (the
 parent of ``src/``), so the CLI works from any working directory inside
 a checkout while still honoring an explicit ``--dir``.

@@ -214,6 +214,28 @@ class TestCommands:
             )
         assert hashes[0] == hashes[1]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--shards", "2", "--timings"],
+            ["--cell-servers", "1", "--cache-dir", "cache"],
+        ],
+    )
+    def test_sharded_fleet_rejects_runner_only_options(
+        self, extra, capsys, tmp_path
+    ):
+        # The sharded path has no in-process runner to report on or to
+        # point at a cache directory, so these options would be dropped.
+        argv = ["fleet", "--servers", "2", "--duration", "3600", *extra]
+        argv = [str(tmp_path / a) if a == "cache" else a for a in argv]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError:")
+        assert captured.err.count("\n") == 1
+        assert "--shards" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+
     def test_unknown_workload_exits_with_code(self, capsys):
         assert main(["measure", "doom"]) == 3
         err = capsys.readouterr().err
@@ -258,14 +280,22 @@ class TestObservabilityOptions:
         assert 'guardband_operate_total{mode="undervolt"}' in out
 
     def test_metrics_on_missing_file_fails_cleanly(self, capsys, tmp_path):
-        assert main(["metrics", str(tmp_path / "absent.json")]) == 1
-        assert "error" in capsys.readouterr().out
+        path = tmp_path / "absent.json"
+        assert main(["metrics", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot read metrics snapshot {path}:"
+        )
+        assert captured.err.count("\n") == 1
 
     def test_metrics_on_non_snapshot_fails_cleanly(self, capsys, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text("{}")
         assert main(["metrics", str(path)]) == 1
-        assert "error" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: cannot read metrics snapshot" in captured.err
 
 
 @pytest.mark.slow

@@ -224,6 +224,48 @@ class TestDigestInvariance:
         assert warm == cold
         assert fleet_settle_cache().stats.disk_hits > 0
 
+    def test_shard_workers_fill_a_shared_dir_a_warm_rerun_replays(
+        self, tmp_path
+    ):
+        """Pool workers write the shared disk layer; a warm rerun reads it.
+
+        The cold 2-shard run settles only inside worker processes, so
+        every file in the directory was written by a worker.  The warm
+        1-shard rerun then starts with an empty memory layer and must
+        answer every settle from those files without changing the log.
+        """
+        if not _pools_available():
+            pytest.skip("sandbox refuses process pools")
+        from repro.fleet.shard import run_sharded
+
+        config = FleetConfig(
+            n_servers=4,
+            traffic=TrafficConfig(duration_seconds=3600.0, jobs_per_hour=120.0),
+            seed=7,
+        )
+
+        def digest(n_shards: int) -> str:
+            return run_sharded(
+                config, n_shards=n_shards, cell_servers=2, keep_events=False
+            ).event_log_hash
+
+        configure_fleet_settle_cache()
+        clear_fleet_memos()
+        memory_only = digest(1)
+        configure_fleet_settle_cache(disk_dir=str(tmp_path))
+        clear_fleet_memos()
+        cold = digest(2)
+        assert fleet_settle_cache().stats.stores == 0  # parent settled nothing
+        written = [p for p in os.listdir(tmp_path) if p.endswith(".json")]
+        assert written
+        configure_fleet_settle_cache(disk_dir=str(tmp_path))
+        clear_fleet_memos()
+        warm = digest(1)
+        stats = fleet_settle_cache().stats
+        assert memory_only == cold == warm
+        assert stats.disk_hits > 0
+        assert stats.misses == 0
+
 
 def _pools_available() -> bool:
     """Whether this sandbox permits process pools at all."""
