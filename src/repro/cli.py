@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import tomllib
 from typing import List, Optional
 
 from . import __version__
@@ -1104,7 +1105,12 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _parse_override_value(raw: str):
-    """KEY=VALUE values: int, then float, then bool words, then string."""
+    """KEY=VALUE values: a TOML array, int, float, bool word, or string."""
+    if raw.startswith("["):
+        try:
+            return tomllib.loads(f"value = {raw}")["value"]
+        except tomllib.TOMLDecodeError as exc:
+            raise ScenarioError(f"--set value {raw!r}: {exc}") from exc
     try:
         return int(raw)
     except ValueError:

@@ -19,6 +19,7 @@ identify as first-order risks (see ``docs/RESILIENCE.md``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -42,15 +43,17 @@ class FaultSpec:
     duration_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.start_seconds < 0:
+        if not (math.isfinite(self.start_seconds) and self.start_seconds >= 0):
             raise FaultError(
-                f"{type(self).__name__}: start_seconds must be >= 0, "
-                f"got {self.start_seconds}"
+                f"{type(self).__name__}: start_seconds must be finite and "
+                f">= 0, got {self.start_seconds}"
             )
-        if self.duration_seconds is not None and self.duration_seconds <= 0:
+        if self.duration_seconds is not None and not (
+            math.isfinite(self.duration_seconds) and self.duration_seconds > 0
+        ):
             raise FaultError(
-                f"{type(self).__name__}: duration_seconds must be positive, "
-                f"got {self.duration_seconds}"
+                f"{type(self).__name__}: duration_seconds must be finite and "
+                f"positive, got {self.duration_seconds}"
             )
 
     def active_at(self, now_seconds: float) -> bool:
@@ -154,9 +157,9 @@ class VrmDroopFault(_SocketFault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.depth_volts <= 0:
+        if not (math.isfinite(self.depth_volts) and self.depth_volts > 0):
             raise FaultError(
-                f"vrm_droop: depth_volts must be positive, "
+                f"vrm_droop: depth_volts must be finite and positive, "
                 f"got {self.depth_volts}"
             )
 
@@ -172,9 +175,9 @@ class LoadlineExcursionFault(_SocketFault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.factor <= 0:
+        if not (math.isfinite(self.factor) and self.factor > 0):
             raise FaultError(
-                f"loadline_excursion: factor must be positive, "
+                f"loadline_excursion: factor must be finite and positive, "
                 f"got {self.factor}"
             )
 
@@ -203,9 +206,11 @@ class ServerCrashFault(FaultSpec):
             raise FaultError(
                 f"server_crash: server_id must be >= 0, got {self.server_id}"
             )
-        if self.repair_seconds is not None and self.repair_seconds <= 0:
+        if self.repair_seconds is not None and not (
+            math.isfinite(self.repair_seconds) and self.repair_seconds > 0
+        ):
             raise FaultError(
-                f"server_crash: repair_seconds must be positive, "
+                f"server_crash: repair_seconds must be finite and positive, "
                 f"got {self.repair_seconds}"
             )
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..errors import SchedulingError
 from ..sim.batch import derive_seed
-from ..workloads import get_profile
+from ..workloads import get_profile, profile_names
 from ..workloads.profile import WorkloadProfile
 from .events import NS_PER_SECOND
 
@@ -136,10 +136,13 @@ class TrafficConfig:
 
     def __post_init__(self) -> None:
         # Finiteness first: NaN slips through every ordered comparison
-        # below (NaN <= 0 is False), and a NaN duration turns the trace
-        # generator's termination check into an infinite loop.
+        # below (NaN <= 0 is False), a NaN duration turns the trace
+        # generator's termination check into an infinite loop, and a NaN
+        # peak phase silently thins the whole trace away.
         for name in ("duration_seconds", "jobs_per_hour", "lc_fraction",
-                     "diurnal_amplitude"):
+                     "diurnal_amplitude", "peak_time_seconds",
+                     "lc_service_mean", "batch_service_mean",
+                     "service_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise SchedulingError(f"{name} must be finite")
         if self.duration_seconds <= 0:
@@ -148,16 +151,37 @@ class TrafficConfig:
             raise SchedulingError("jobs_per_hour must be positive")
         if not 0 <= self.diurnal_amplitude < 1:
             raise SchedulingError("diurnal_amplitude must be in [0, 1)")
+        if self.peak_time_seconds < 0:
+            raise SchedulingError("peak_time_seconds must be >= 0")
         if not 0 <= self.lc_fraction <= 1:
             raise SchedulingError("lc_fraction must be in [0, 1]")
+        # Normalize sequences to tuples so two configs with the same
+        # content hash and pickle identically whatever types built them.
+        for name in ("lc_profiles", "batch_profiles", "lc_threads",
+                     "batch_threads"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.lc_profiles or not self.batch_profiles:
             raise SchedulingError("profile pools must be non-empty")
-        if min(self.lc_threads + self.batch_threads) < 1:
-            raise SchedulingError("thread choices must be >= 1")
+        known = profile_names()
+        for name in self.lc_profiles + self.batch_profiles:
+            if name not in known:
+                raise SchedulingError(
+                    f"unknown workload profile {name!r} "
+                    f"(known: {', '.join(sorted(known))})"
+                )
+        if not self.lc_threads or not self.batch_threads:
+            raise SchedulingError("thread pools must be non-empty")
+        for threads in self.lc_threads + self.batch_threads:
+            if isinstance(threads, bool) or not isinstance(threads, int):
+                raise SchedulingError(
+                    f"thread choices must be integers, got {threads!r}"
+                )
+            if threads < 1:
+                raise SchedulingError("thread choices must be >= 1")
         if min(self.lc_service_mean, self.batch_service_mean) <= 0:
             raise SchedulingError("service means must be positive")
-        # Normalize so two configs with the same surge content hash and
-        # pickle identically whatever sequence types built them.
+        if self.service_floor <= 0:
+            raise SchedulingError("service_floor must be positive")
         object.__setattr__(
             self,
             "surges",
@@ -174,6 +198,11 @@ class TrafficConfig:
                 raise SchedulingError("surge fields must be finite")
             if start < 0:
                 raise SchedulingError("surge start_seconds must be >= 0")
+            if start >= self.duration_seconds:
+                raise SchedulingError(
+                    f"surge at t={start:g}s opens at or beyond the "
+                    f"{self.duration_seconds:g}s horizon"
+                )
             if duration <= 0:
                 raise SchedulingError("surge duration_seconds must be positive")
             if multiplier <= 0:

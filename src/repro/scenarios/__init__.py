@@ -6,10 +6,15 @@ aged) server groups, the policy regime, a fault plan, and golden summary
 assertions.  The package provides:
 
 * :mod:`~repro.scenarios.model` — the frozen, eagerly validated
-  :class:`Scenario` composition;
-* :mod:`~repro.scenarios.codec` — strict TOML ↔ :class:`Scenario`
-  mapping, read with the stdlib :mod:`tomllib`: unknown keys are
-  rejected with their full path, and dumping is round-trip stable;
+  :class:`Scenario` composition, built on the fleet's own types: its
+  traffic (``[traffic]`` + ``[mix]``) *is* a
+  :class:`~repro.fleet.traffic.TrafficConfig`, and each fault window
+  builds its kind's :mod:`repro.faults.spec` class
+  (:data:`~repro.scenarios.model.WINDOW_KINDS`);
+* :mod:`~repro.scenarios.codec` — one field-driven TOML ↔
+  :class:`Scenario` codec over every section, read with the stdlib
+  :mod:`tomllib`: unknown keys and mistyped values are rejected with
+  their full path, and dumping is round-trip stable;
 * :mod:`~repro.scenarios.tomlio` — the TOML writer behind dumping (the
   stdlib has none);
 * :mod:`~repro.scenarios.runner` — compilation onto the sharded fleet
@@ -36,7 +41,7 @@ from .codec import (
     scenario_to_document,
 )
 from .model import (
-    FAULT_KINDS,
+    WINDOW_KINDS,
     FaultPlanSpec,
     FaultWindowSpec,
     GoldenSpec,
@@ -44,8 +49,6 @@ from .model import (
     Scenario,
     ServerGroupSpec,
     TopologySpec,
-    TrafficSpec,
-    WorkloadMixSpec,
 )
 from .runner import (
     GoldenVerdict,
@@ -56,11 +59,9 @@ from .runner import (
     check_scenario,
     lower_scenario,
     run_scenario,
-    traffic_config,
 )
 
 __all__ = [
-    "FAULT_KINDS",
     "FaultPlanSpec",
     "FaultWindowSpec",
     "GoldenSpec",
@@ -72,8 +73,7 @@ __all__ = [
     "ScenarioResult",
     "ServerGroupSpec",
     "TopologySpec",
-    "TrafficSpec",
-    "WorkloadMixSpec",
+    "WINDOW_KINDS",
     "catalog_paths",
     "check_result",
     "check_scenario",
@@ -88,5 +88,4 @@ __all__ = [
     "run_scenario",
     "scenario_from_document",
     "scenario_to_document",
-    "traffic_config",
 ]

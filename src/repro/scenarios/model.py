@@ -1,17 +1,19 @@
 """The frozen scenario config model: what one reproducible study *is*.
 
-A :class:`Scenario` composes five orthogonal specs — traffic shape,
-workload mix, fleet topology, policy regime, and fault plan — plus an
-optional golden block of summary assertions.  Every spec is a frozen
-dataclass that validates eagerly in ``__post_init__`` (the same contract
-as :mod:`repro.config`), and cross-field constraints that span specs
-(fault windows beyond the horizon, group targets that don't exist) are
-checked by :class:`Scenario` itself, so a scenario object that exists is
-a scenario that can run.
+A :class:`Scenario` composes four orthogonal specs — the traffic (the
+fleet's own :class:`~repro.fleet.traffic.TrafficConfig`, shape and
+workload mix together), fleet topology, policy regime, and fault plan —
+plus an optional golden block of summary assertions.  Every spec is a
+frozen dataclass that validates eagerly in ``__post_init__`` (the same
+contract as :mod:`repro.config`); where a section *is* a fleet or fault
+type, its validation lives once, in that type.  Cross-field constraints
+that span specs (fault windows beyond the horizon, group targets that
+don't exist) are checked by :class:`Scenario` itself, so a scenario
+object that exists is a scenario that can run.
 
 The model deliberately mirrors SNIPPETS.md's ``zng_simulator.config``
-composition — small orthogonal configs assembled into one ``Scenario`` —
-lifted to datacenter scale: topology here is *groups of servers per
+composition — small orthogonal configs assembled into one ``Scenario``
+— lifted to datacenter scale: topology here is *groups of servers per
 silicon generation* (each with its own service age and die seed) rather
 than a single chip.
 """
@@ -23,32 +25,42 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..errors import ScenarioError
-from ..fleet.scheduler import POLICIES
-from ..fleet.traffic import DAY_SECONDS
-from ..workloads import all_profiles
-
-#: Fault kinds a scenario fault window may name, with the spec fields
-#: each kind consumes beyond the shared window/target ones.
-FAULT_KINDS = (
-    "server_crash",
-    "job_kill",
-    "cpm_stuck",
-    "cpm_noise",
-    "cpm_drop",
-    "cpm_stale",
-    "vrm_droop",
-    "loadline_excursion",
+from ..faults.spec import (
+    CpmDropFault,
+    CpmNoiseFault,
+    CpmStuckFault,
+    FaultSpec,
+    JobKillFault,
+    LoadlineExcursionFault,
+    ServerCrashFault,
+    StaleTelemetryFault,
+    VrmDroopFault,
 )
+from ..fleet.scheduler import POLICIES
+from ..fleet.traffic import TrafficConfig
 
-#: Fault kinds that target a socket (and map to static-fallback windows
-#: or electrical degradation inside the fleet engine).
-SOCKET_FAULT_KINDS = (
-    "cpm_stuck",
-    "cpm_noise",
-    "cpm_drop",
-    "cpm_stale",
-    "vrm_droop",
-    "loadline_excursion",
+_SOCKET_KEYS = ("duration_seconds", "socket")
+
+#: Fault kind → the :mod:`repro.faults.spec` class a window of that kind
+#: builds, and the window keys beyond ``start_seconds`` and the target
+#: (``group``/``server``/``all_servers``) the kind takes.
+WINDOW_KINDS = {
+    cls.kind: (cls, keys)
+    for cls, keys in (
+        (ServerCrashFault, ("repair_seconds",)),
+        (JobKillFault, ("job_id",)),
+        (CpmStuckFault, _SOCKET_KEYS + ("code",)),
+        (CpmNoiseFault, _SOCKET_KEYS + ("amplitude_bits",)),
+        (CpmDropFault, _SOCKET_KEYS),
+        (StaleTelemetryFault, _SOCKET_KEYS),
+        (VrmDroopFault, _SOCKET_KEYS + ("depth_volts",)),
+        (LoadlineExcursionFault, _SOCKET_KEYS + ("factor",)),
+    )
+}
+
+#: Every kind-specific window key.
+_KIND_KEYS = tuple(
+    dict.fromkeys(key for _, keys in WINDOW_KINDS.values() for key in keys)
 )
 
 
@@ -62,122 +74,6 @@ def _finite(value: float, name: str) -> None:
         isinstance(value, (int, float)) and math.isfinite(value),
         f"{name} must be a finite number, got {value!r}",
     )
-
-
-@dataclass(frozen=True)
-class TrafficSpec:
-    """Arrival-stream shape: how much work arrives, and when."""
-
-    #: Trace horizon (s).
-    duration_seconds: float = DAY_SECONDS
-
-    #: Mean arrival rate (jobs per hour) over the whole horizon.
-    jobs_per_hour: float = 18.0
-
-    #: Relative diurnal swing in [0, 1).
-    diurnal_amplitude: float = 0.6
-
-    #: Phase of the diurnal peak (s into the day).
-    peak_time_seconds: float = 14.0 * 3600.0
-
-    #: Probability an arrival is latency-critical.
-    lc_fraction: float = 0.15
-
-    #: Rate-surge windows ``(start_seconds, duration_seconds,
-    #: multiplier)`` — flash crowds above 1, lulls below.
-    surges: Tuple[Tuple[float, float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        for name in ("duration_seconds", "jobs_per_hour",
-                     "diurnal_amplitude", "peak_time_seconds",
-                     "lc_fraction"):
-            _finite(getattr(self, name), f"traffic.{name}")
-        _require(self.duration_seconds > 0,
-                 "traffic.duration_seconds must be positive")
-        _require(self.jobs_per_hour > 0,
-                 "traffic.jobs_per_hour must be positive")
-        _require(0 <= self.diurnal_amplitude < 1,
-                 "traffic.diurnal_amplitude must be in [0, 1)")
-        _require(0 <= self.lc_fraction <= 1,
-                 "traffic.lc_fraction must be in [0, 1]")
-        _require(self.peak_time_seconds >= 0,
-                 "traffic.peak_time_seconds must be >= 0")
-        object.__setattr__(
-            self,
-            "surges",
-            tuple(tuple(float(v) for v in s) for s in self.surges),
-        )
-        for surge in self.surges:
-            _require(
-                len(surge) == 3,
-                "each traffic surge must be [start_seconds, "
-                f"duration_seconds, multiplier], got {list(surge)!r}",
-            )
-            start, duration, multiplier = surge
-            for value, name in zip(surge, ("start", "duration", "multiplier")):
-                _finite(value, f"traffic surge {name}")
-            _require(start >= 0, "traffic surge start must be >= 0")
-            _require(duration > 0, "traffic surge duration must be positive")
-            _require(multiplier > 0,
-                     "traffic surge multiplier must be positive")
-            _require(
-                start < self.duration_seconds,
-                f"traffic surge at t={start:g}s opens at or beyond the "
-                f"{self.duration_seconds:g}s horizon",
-            )
-
-
-@dataclass(frozen=True)
-class WorkloadMixSpec:
-    """What the arriving jobs *are*: profiles, widths, service demands."""
-
-    #: Catalog profiles latency-critical jobs draw from.
-    lc_profiles: Tuple[str, ...] = ("perl", "h264ref")
-
-    #: Catalog profiles batch jobs draw from.
-    batch_profiles: Tuple[str, ...] = ("raytrace", "fft", "mcf", "bzip2")
-
-    #: Thread-count choices per class (drawn uniformly).
-    lc_threads: Tuple[int, ...] = (1, 2)
-    batch_threads: Tuple[int, ...] = (2, 4)
-
-    #: Mean nominal service demand (s) per class.
-    lc_service_mean: float = 900.0
-    batch_service_mean: float = 1800.0
-
-    #: Service-time floor (s).
-    service_floor: float = 120.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lc_profiles", tuple(self.lc_profiles))
-        object.__setattr__(self, "batch_profiles", tuple(self.batch_profiles))
-        object.__setattr__(
-            self, "lc_threads", tuple(int(v) for v in self.lc_threads)
-        )
-        object.__setattr__(
-            self, "batch_threads", tuple(int(v) for v in self.batch_threads)
-        )
-        _require(bool(self.lc_profiles), "mix.lc_profiles must be non-empty")
-        _require(bool(self.batch_profiles),
-                 "mix.batch_profiles must be non-empty")
-        known = {p.name for p in all_profiles()}
-        for name in self.lc_profiles + self.batch_profiles:
-            _require(
-                name in known,
-                f"mix names unknown workload profile {name!r} "
-                f"(known: {', '.join(sorted(known))})",
-            )
-        _require(bool(self.lc_threads) and bool(self.batch_threads),
-                 "mix thread pools must be non-empty")
-        _require(min(self.lc_threads + self.batch_threads) >= 1,
-                 "mix thread choices must be >= 1")
-        for name in ("lc_service_mean", "batch_service_mean",
-                     "service_floor"):
-            _finite(getattr(self, name), f"mix.{name}")
-        _require(self.lc_service_mean > 0 and self.batch_service_mean > 0,
-                 "mix service means must be positive")
-        _require(self.service_floor > 0,
-                 "mix.service_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -236,10 +132,19 @@ class ServerGroupSpec:
             )
 
     @property
+    def cell_spans(self) -> Tuple[Tuple[int, int], ...]:
+        """``(first server, servers)`` of each cell this group lowers
+        onto, in order; only the last cell may be narrower."""
+        width = self.cell_servers or self.servers
+        return tuple(
+            (first, min(width, self.servers - first))
+            for first in range(0, self.servers, width)
+        )
+
+    @property
     def n_cells(self) -> int:
         """Cells this group lowers onto."""
-        width = self.cell_servers or self.servers
-        return -(-self.servers // width)
+        return len(self.cell_spans)
 
 
 @dataclass(frozen=True)
@@ -385,13 +290,16 @@ class FaultWindowSpec:
 
     Targets are *group-relative*: ``group`` names a topology group and
     ``server`` indexes into it (``all_servers`` fans the fault out over
-    the whole group — how a regional failover is written).  The runner
-    lowers each window onto concrete
-    :class:`~repro.faults.spec.FaultSpec` objects with cell-local ids.
+    the whole group — how a regional failover is written).  The kind's
+    :mod:`repro.faults.spec` class (:data:`WINDOW_KINDS`) owns every
+    value check: a window is valid when :meth:`fault` can build it.
     """
 
     kind: str = "server_crash"
     start_seconds: float = 0.0
+
+    #: Kind-specific keys; each kind takes only its :data:`WINDOW_KINDS`
+    #: keys, and ``None`` leaves the fault class's default.
     duration_seconds: Optional[float] = None
 
     #: Topology group the fault targets (default: the first group).
@@ -404,81 +312,56 @@ class FaultWindowSpec:
     #: Fan the fault out over every server of the group.
     all_servers: bool = False
 
-    #: Socket within each targeted server (socket-scoped kinds).
-    socket: int = 0
-
-    # Kind-specific fields (validated per kind below).
-    repair_seconds: Optional[float] = None     # server_crash
-    job_id: Optional[int] = None               # job_kill
-    code: int = 0                              # cpm_stuck
-    amplitude_bits: int = 4                    # cpm_noise
-    depth_volts: float = 0.030                 # vrm_droop
-    factor: float = 2.0                        # loadline_excursion
+    socket: Optional[int] = None
+    repair_seconds: Optional[float] = None
+    job_id: Optional[int] = None
+    code: Optional[int] = None
+    amplitude_bits: Optional[int] = None
+    depth_volts: Optional[float] = None
+    factor: Optional[float] = None
 
     def __post_init__(self) -> None:
         _require(
-            self.kind in FAULT_KINDS,
+            self.kind in WINDOW_KINDS,
             f"unknown fault kind {self.kind!r} "
-            f"(known: {', '.join(FAULT_KINDS)})",
+            f"(known: {', '.join(WINDOW_KINDS)})",
         )
-        _finite(self.start_seconds, f"fault {self.kind} start_seconds")
-        _require(self.start_seconds >= 0,
-                 f"fault {self.kind}: start_seconds must be >= 0")
-        if self.duration_seconds is not None:
-            _finite(self.duration_seconds,
-                    f"fault {self.kind} duration_seconds")
-            _require(self.duration_seconds > 0,
-                     f"fault {self.kind}: duration_seconds must be positive")
-        if self.server is not None:
-            _require(
-                isinstance(self.server, int) and self.server >= 0,
-                f"fault {self.kind}: server must be an integer >= 0",
-            )
-            _require(
-                not self.all_servers,
-                f"fault {self.kind}: server and all_servers are exclusive",
-            )
-        _require(isinstance(self.socket, int) and self.socket >= 0,
-                 f"fault {self.kind}: socket must be an integer >= 0")
+        _, keys = WINDOW_KINDS[self.kind]
+        foreign = [
+            key for key in _KIND_KEYS
+            if getattr(self, key) is not None and key not in keys
+        ]
+        _require(
+            not foreign,
+            f"fault {self.kind} does not take {', '.join(foreign)}",
+        )
+        _require(
+            self.server is None or not self.all_servers,
+            f"fault {self.kind}: server and all_servers are exclusive",
+        )
         if self.kind == "job_kill":
-            _require(
-                self.job_id is not None
-                and isinstance(self.job_id, int)
-                and self.job_id >= 0,
-                "fault job_kill needs an integer job_id >= 0",
-            )
+            _require(self.job_id is not None, "fault job_kill needs a job_id")
             _require(
                 self.group is None and self.server is None
                 and not self.all_servers,
                 "fault job_kill targets a job, not a group or server",
             )
+            self.fault(None)
         else:
-            _require(self.job_id is None,
-                     f"fault {self.kind} does not take job_id")
-        if self.kind == "server_crash" and self.repair_seconds is not None:
-            _finite(self.repair_seconds, "fault server_crash repair_seconds")
-            _require(self.repair_seconds > 0,
-                     "fault server_crash: repair_seconds must be positive")
-        if self.kind != "server_crash":
-            _require(self.repair_seconds is None,
-                     f"fault {self.kind} does not take repair_seconds")
-        if self.kind == "cpm_stuck":
-            _require(isinstance(self.code, int) and self.code >= 0,
-                     "fault cpm_stuck: code must be an integer >= 0")
-        if self.kind == "cpm_noise":
-            _require(
-                isinstance(self.amplitude_bits, int)
-                and self.amplitude_bits >= 1,
-                "fault cpm_noise: amplitude_bits must be an integer >= 1",
-            )
-        if self.kind == "vrm_droop":
-            _finite(self.depth_volts, "fault vrm_droop depth_volts")
-            _require(self.depth_volts > 0,
-                     "fault vrm_droop: depth_volts must be positive")
-        if self.kind == "loadline_excursion":
-            _finite(self.factor, "fault loadline_excursion factor")
-            _require(self.factor > 0,
-                     "fault loadline_excursion: factor must be positive")
+            self.fault(self.server or 0)
+
+    def fault(self, server: Optional[int]) -> FaultSpec:
+        """The concrete fault this window puts on group-local ``server``
+        (``None`` for a job kill, which targets no server)."""
+        cls, keys = WINDOW_KINDS[self.kind]
+        params = {
+            "socket_id" if key == "socket" else key: getattr(self, key)
+            for key in keys
+            if getattr(self, key) is not None
+        }
+        if server is not None:
+            params["server_id"] = server
+        return cls(start_seconds=self.start_seconds, **params)
 
 
 @dataclass(frozen=True)
@@ -588,8 +471,9 @@ class Scenario:
     #: Free-form tags; ``"slow"`` marks scenarios the fast loops skip.
     tags: Tuple[str, ...] = ()
 
-    traffic: TrafficSpec = field(default_factory=TrafficSpec)
-    mix: WorkloadMixSpec = field(default_factory=WorkloadMixSpec)
+    #: Arrival shape and workload mix (the ``[traffic]`` and ``[mix]``
+    #: tables), shared by every cell.
+    traffic: TrafficConfig = field(default_factory=TrafficConfig)
     topology: TopologySpec = field(default_factory=TopologySpec)
     policy: PolicySpec = field(default_factory=PolicySpec)
     faults: FaultPlanSpec = field(default_factory=FaultPlanSpec)

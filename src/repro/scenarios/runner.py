@@ -34,17 +34,7 @@ from ..chip.aging import AgingModel, aged_server_config
 from ..config import ServerConfig
 from ..errors import ScenarioError
 from ..faults.plan import FaultPlan
-from ..faults.spec import (
-    CpmDropFault,
-    CpmNoiseFault,
-    CpmStuckFault,
-    FaultSpec,
-    JobKillFault,
-    LoadlineExcursionFault,
-    ServerCrashFault,
-    StaleTelemetryFault,
-    VrmDroopFault,
-)
+from ..faults.spec import FaultSpec, ServerCrashFault
 from ..fleet.engine import FleetConfig
 from ..fleet.metrics import FleetResult
 from ..fleet.powercap import decompose_budget
@@ -55,7 +45,6 @@ from ..fleet.shard import (
     ShardRetry,
     run_cell_specs,
 )
-from ..fleet.traffic import TrafficConfig
 from ..sim.batch import derive_seed
 from .model import Scenario, ServerGroupSpec
 
@@ -84,26 +73,6 @@ class LoweredScenario:
 
     #: Seed of the shared arrival trace.
     trace_seed: int
-
-
-def traffic_config(scenario: Scenario, seed: Optional[int] = None) -> TrafficConfig:
-    """The :class:`TrafficConfig` a scenario's traffic + mix describe."""
-    t, m = scenario.traffic, scenario.mix
-    return TrafficConfig(
-        duration_seconds=t.duration_seconds,
-        jobs_per_hour=t.jobs_per_hour,
-        diurnal_amplitude=t.diurnal_amplitude,
-        peak_time_seconds=t.peak_time_seconds,
-        lc_fraction=t.lc_fraction,
-        surges=t.surges,
-        lc_profiles=m.lc_profiles,
-        batch_profiles=m.batch_profiles,
-        lc_threads=m.lc_threads,
-        batch_threads=m.batch_threads,
-        lc_service_mean=m.lc_service_mean,
-        batch_service_mean=m.batch_service_mean,
-        service_floor=m.service_floor,
-    )
 
 
 def _group_server_config(
@@ -164,12 +133,7 @@ def _lower_fault_windows(
     job_kills: List[FaultSpec] = []
     for window in scenario.faults.windows:
         if window.kind == "job_kill":
-            job_kills.append(
-                JobKillFault(
-                    start_seconds=window.start_seconds,
-                    job_id=window.job_id,
-                )
-            )
+            job_kills.append(window.fault(None))
             continue
         group = (
             scenario.topology.group(window.group)
@@ -181,39 +145,8 @@ def _lower_fault_windows(
         else:
             targets = [window.server if window.server is not None else 0]
         for server in targets:
-            per_group.setdefault(group.name, []).append(
-                _window_to_spec(window, server)
-            )
+            per_group.setdefault(group.name, []).append(window.fault(server))
     return per_group, job_kills
-
-
-def _window_to_spec(window, server: int) -> FaultSpec:
-    common = dict(
-        start_seconds=window.start_seconds,
-        duration_seconds=window.duration_seconds,
-    )
-    if window.kind == "server_crash":
-        return ServerCrashFault(
-            start_seconds=window.start_seconds,
-            server_id=server,
-            repair_seconds=window.repair_seconds,
-        )
-    socket_common = dict(common, socket_id=window.socket, server_id=server)
-    if window.kind == "cpm_stuck":
-        return CpmStuckFault(code=window.code, **socket_common)
-    if window.kind == "cpm_noise":
-        return CpmNoiseFault(
-            amplitude_bits=window.amplitude_bits, **socket_common
-        )
-    if window.kind == "cpm_drop":
-        return CpmDropFault(**socket_common)
-    if window.kind == "cpm_stale":
-        return StaleTelemetryFault(**socket_common)
-    if window.kind == "vrm_droop":
-        return VrmDroopFault(depth_volts=window.depth_volts, **socket_common)
-    if window.kind == "loadline_excursion":
-        return LoadlineExcursionFault(factor=window.factor, **socket_common)
-    raise ScenarioError(f"unloweable fault kind {window.kind!r}")
 
 
 def _budget_schedules(
@@ -241,11 +174,8 @@ def _budget_schedules(
     events: List[Tuple[float, int, int]] = []
     cell_cursor = 0
     for group in scenario.topology.groups:
-        width = group.cell_servers or group.servers
         specs = per_group_faults.get(group.name, [])
-        local_offset = 0
-        while local_offset < group.servers:
-            size = min(width, group.servers - local_offset)
+        for local_offset, size in group.cell_spans:
             for spec in specs:
                 if not isinstance(spec, ServerCrashFault):
                     continue
@@ -260,7 +190,6 @@ def _budget_schedules(
                             +1,
                         )
                     )
-            local_offset += size
             cell_cursor += 1
     if not events:
         return {}
@@ -300,7 +229,6 @@ def lower_scenario(
         if effective_seed == scenario.seed
         else dataclasses.replace(scenario, seed=effective_seed)
     )
-    traffic = traffic_config(effective)
     policy = POLICIES[effective.policy.policy]
     per_group_faults, job_kills = _lower_fault_windows(effective)
 
@@ -311,13 +239,11 @@ def lower_scenario(
     # proportionally to cell size, mirroring run_sharded — each cell's
     # coordinator tracks its share independently, so the event log stays
     # invariant across shard/worker counts.
-    cell_sizes: List[int] = []
-    for group in effective.topology.groups:
-        width = group.cell_servers or group.servers
-        remaining = group.servers
-        while remaining > 0:
-            cell_sizes.append(min(width, remaining))
-            remaining -= cell_sizes[-1]
+    cell_sizes = [
+        size
+        for group in effective.topology.groups
+        for _, size in group.cell_spans
+    ]
     budget_shares = decompose_budget(
         effective.policy.fleet_power_budget_w, cell_sizes
     )
@@ -329,17 +255,14 @@ def lower_scenario(
         server_config = _group_server_config(effective, group)
         die_seed = _group_die_seed(effective, group)
         group_gain = _group_cap_gain(effective, group)
-        width = group.cell_servers or group.servers
         group_fault_specs = per_group_faults.get(group.name, [])
         indices: List[int] = []
-        local_offset = 0
-        while local_offset < group.servers:
-            size = min(width, group.servers - local_offset)
+        for local_offset, size in group.cell_spans:
             cell_index = len(cells)
             config = FleetConfig(
                 server_config=server_config,
                 n_servers=size,
-                traffic=traffic,
+                traffic=effective.traffic,
                 seed=die_seed,
                 qos_frequency_fraction=(
                     effective.policy.qos_frequency_fraction
@@ -396,7 +319,6 @@ def lower_scenario(
                 )
             )
             indices.append(cell_index)
-            local_offset += size
         groups.append(
             GroupCells(
                 group=group,

@@ -62,6 +62,22 @@ class TestSpecValidation:
         with pytest.raises(FaultError):
             JobKillFault(job_id=-2)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: VrmDroopFault(depth_volts=float("nan")),
+            lambda: ServerCrashFault(start_seconds=float("nan")),
+            lambda: ServerCrashFault(repair_seconds=float("nan")),
+            lambda: LoadlineExcursionFault(factor=float("inf")),
+            lambda: CpmStuckFault(duration_seconds=float("inf")),
+        ],
+        ids=["nan-depth", "nan-start", "nan-repair", "inf-factor",
+             "inf-duration"],
+    )
+    def test_non_finite_values_rejected(self, build):
+        with pytest.raises(FaultError, match="finite"):
+            build()
+
     def test_activity_window(self):
         spec = CpmStuckFault(start_seconds=10.0, duration_seconds=5.0)
         assert not spec.active_at(9.9)

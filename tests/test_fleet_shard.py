@@ -311,14 +311,13 @@ class TestShardCrashRecovery:
             Scenario,
             ServerGroupSpec,
             TopologySpec,
-            TrafficSpec,
             run_scenario,
         )
 
         scenario = Scenario(
             name="shard_recovery_probe",
             seed=5,
-            traffic=TrafficSpec(
+            traffic=TrafficConfig(
                 duration_seconds=3600.0, jobs_per_hour=60.0,
                 lc_fraction=0.2,
             ),

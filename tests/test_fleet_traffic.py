@@ -44,6 +44,42 @@ class TestTrafficConfig:
         with pytest.raises(SchedulingError):
             TrafficConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # A NaN peak phase makes every thinning test fail: 0 jobs.
+            {"peak_time_seconds": float("nan")},
+            {"peak_time_seconds": -1.0},
+            {"lc_service_mean": float("nan")},
+            {"batch_service_mean": float("inf")},
+            {"service_floor": -1.0},
+            {"service_floor": float("nan")},
+            {"batch_profiles": ("raytrace", "no_such_profile")},
+            # An empty pool used to fail mid-trace in numpy (high <= 0).
+            {"lc_threads": ()},
+            {"batch_threads": (2.5,)},
+            {"lc_threads": (True,)},
+            {"duration_seconds": 3600.0, "surges": ((3600.0, 60.0, 2.0),)},
+        ],
+        ids=[
+            "nan-peak", "negative-peak", "nan-lc-mean", "inf-batch-mean",
+            "negative-floor", "nan-floor", "unknown-profile", "empty-pool",
+            "fractional-threads", "boolean-threads", "surge-at-horizon",
+        ],
+    )
+    def test_rejects_what_no_trace_can_use(self, kwargs):
+        with pytest.raises(SchedulingError):
+            TrafficConfig(**kwargs)
+
+    def test_unknown_profile_lists_the_catalog(self):
+        with pytest.raises(SchedulingError, match="unknown workload profile.*perl"):
+            TrafficConfig(lc_profiles=("no_such_profile",))
+
+    def test_sequences_normalize_to_tuples(self):
+        config = TrafficConfig(lc_profiles=["perl"], lc_threads=[1, 2])
+        assert config == TrafficConfig(lc_profiles=("perl",), lc_threads=(1, 2))
+        hash(config)
+
     def test_rate_peaks_at_peak_time(self):
         config = TrafficConfig(jobs_per_hour=36.0, diurnal_amplitude=0.5)
         peak = config.rate_at(config.peak_time_seconds)

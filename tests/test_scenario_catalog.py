@@ -23,6 +23,8 @@ EXPECTED_NAMES = {
     "flash_crowd",
     "heterogeneous_aging",
     "power_capped_consolidation",
+    "rack_power_budget",
+    "rack_power_budget_crash",
     "regional_failover",
 }
 

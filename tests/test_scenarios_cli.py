@@ -153,3 +153,31 @@ class TestActions:
         out = capsys.readouterr().out
         assert "FAILED" in out
         assert "event_log_hash" in out
+
+
+class TestSetOverrides:
+    def test_array_and_string_overrides_apply(self, tiny_path):
+        from repro.cli import _apply_scenario_overrides
+        from repro.scenarios import codec
+
+        scenario = _apply_scenario_overrides(
+            codec.load(tiny_path),
+            ["mix.lc_threads=[1]", "policy.pdn_backend=flexwatts"],
+        )
+        assert scenario.traffic.lc_threads == (1,)
+        assert scenario.policy.pdn_backend == "flexwatts"
+
+    def test_run_with_overrides_exits_0(self, tiny_path, capsys):
+        assert main(
+            ["scenario", "run", tiny_path, "--set", "mix.lc_threads=[1]"]
+        ) == 0
+        assert "event log:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["[2.5]", "[1"])
+    def test_malformed_array_override_exits_12(self, tiny_path, value, capsys):
+        assert main(
+            ["scenario", "run", tiny_path, "--set", f"mix.lc_threads={value}"]
+        ) == 12
+        err = capsys.readouterr().err
+        assert err.startswith("error: ScenarioError:")
+        assert err.count("\n") == 1

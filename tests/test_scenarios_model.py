@@ -1,10 +1,17 @@
-"""The frozen scenario config model: eager and cross-field validation."""
+"""The frozen scenario config model: eager and cross-field validation.
+
+The ``[traffic]`` and ``[mix]`` sections are the fleet's own
+:class:`TrafficConfig`, whose checks live in ``repro.fleet.traffic``;
+here they are exercised through the load path, where they surface as
+:class:`ScenarioError` naming the section.
+"""
 
 import dataclasses
 
 import pytest
 
-from repro.errors import ReproError, ScenarioError
+from repro.errors import FaultError, ReproError, ScenarioError
+from repro.fleet.traffic import TrafficConfig
 from repro.scenarios import (
     FaultPlanSpec,
     FaultWindowSpec,
@@ -13,9 +20,13 @@ from repro.scenarios import (
     Scenario,
     ServerGroupSpec,
     TopologySpec,
-    TrafficSpec,
-    WorkloadMixSpec,
+    scenario_from_document,
 )
+
+
+def load_sections(**tables) -> Scenario:
+    """A scenario loaded from a document holding only ``tables``."""
+    return scenario_from_document({"scenario": {}, **tables})
 
 
 class TestScenarioError:
@@ -24,9 +35,11 @@ class TestScenarioError:
 
 
 class TestTrafficSpec:
+    """The ``[traffic]`` table: TrafficConfig's arrival-shape fields."""
+
     def test_defaults_validate(self):
-        spec = TrafficSpec()
-        assert spec.duration_seconds == 86_400.0
+        assert load_sections().traffic == TrafficConfig()
+        assert load_sections().traffic.duration_seconds == 86_400.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -42,42 +55,46 @@ class TestTrafficSpec:
         ],
     )
     def test_bad_scalars_rejected(self, kwargs):
-        with pytest.raises(ScenarioError):
-            TrafficSpec(**kwargs)
+        with pytest.raises(ScenarioError, match="traffic"):
+            load_sections(traffic=kwargs)
 
     def test_surge_normalized_to_tuples(self):
-        spec = TrafficSpec(surges=[[100, 50, 2]])
-        assert spec.surges == ((100.0, 50.0, 2.0),)
+        traffic = load_sections(traffic={"surges": [[100, 50, 2]]}).traffic
+        assert traffic.surges == ((100.0, 50.0, 2.0),)
 
     @pytest.mark.parametrize(
         "surge",
         [
-            (100.0, 50.0),               # wrong arity
-            (-1.0, 50.0, 2.0),           # negative start
-            (100.0, 0.0, 2.0),           # zero duration
-            (100.0, 50.0, 0.0),          # zero multiplier
-            (90_000.0, 50.0, 2.0),       # opens beyond the horizon
+            [100.0, 50.0],               # wrong arity
+            [-1.0, 50.0, 2.0],           # negative start
+            [100.0, 0.0, 2.0],           # zero duration
+            [100.0, 50.0, 0.0],          # zero multiplier
+            [90_000.0, 50.0, 2.0],       # opens beyond the horizon
         ],
     )
     def test_bad_surges_rejected(self, surge):
-        with pytest.raises(ScenarioError):
-            TrafficSpec(duration_seconds=86_400.0, surges=(surge,))
+        with pytest.raises(ScenarioError, match="traffic"):
+            load_sections(
+                traffic={"duration_seconds": 86_400.0, "surges": [surge]}
+            )
 
 
 class TestWorkloadMixSpec:
+    """The ``[mix]`` table: TrafficConfig's profile and service fields."""
+
     def test_unknown_profile_rejected_with_known_list(self):
         with pytest.raises(ScenarioError, match="unknown workload profile"):
-            WorkloadMixSpec(lc_profiles=("no_such_profile",))
+            load_sections(mix={"lc_profiles": ["no_such_profile"]})
 
     def test_empty_pools_rejected(self):
         with pytest.raises(ScenarioError):
-            WorkloadMixSpec(batch_profiles=())
+            load_sections(mix={"batch_profiles": []})
         with pytest.raises(ScenarioError):
-            WorkloadMixSpec(lc_threads=())
+            load_sections(mix={"lc_threads": []})
 
     def test_zero_threads_rejected(self):
         with pytest.raises(ScenarioError):
-            WorkloadMixSpec(batch_threads=(0, 2))
+            load_sections(mix={"batch_threads": [0, 2]})
 
 
 class TestTopologySpec:
@@ -140,6 +157,29 @@ class TestFaultWindowSpec:
         with pytest.raises(ScenarioError, match="repair_seconds"):
             FaultWindowSpec(kind="vrm_droop", repair_seconds=60.0)
 
+    @pytest.mark.parametrize("kind", ["server_crash", "job_kill"])
+    @pytest.mark.parametrize(
+        "key, value", [("duration_seconds", 600.0), ("socket", 1)]
+    )
+    def test_crash_and_kill_reject_socket_window_keys(self, kind, key, value):
+        # Neither fault has a socket or a window length: a crash lasts
+        # until repair_seconds, a kill is instantaneous.
+        extra = {"job_id": 0} if kind == "job_kill" else {}
+        with pytest.raises(ScenarioError, match=f"does not take {key}"):
+            FaultWindowSpec(kind=kind, **extra, **{key: value})
+
+    def test_values_are_checked_by_the_fault_class(self):
+        with pytest.raises(FaultError, match="depth_volts"):
+            FaultWindowSpec(kind="vrm_droop", depth_volts=-0.01)
+        with pytest.raises(FaultError, match="server_id"):
+            FaultWindowSpec(kind="cpm_drop", server=-1)
+
+    def test_unset_keys_take_the_fault_class_defaults(self):
+        from repro.faults.spec import VrmDroopFault
+
+        window = FaultWindowSpec(kind="vrm_droop", start_seconds=5.0)
+        assert window.fault(2) == VrmDroopFault(start_seconds=5.0, server_id=2)
+
 
 class TestGoldenSpec:
     def test_malformed_hash_rejected(self):
@@ -161,7 +201,7 @@ class TestScenarioCrossFields:
     def test_fault_window_beyond_horizon_rejected(self):
         with pytest.raises(ScenarioError, match="beyond"):
             Scenario(
-                traffic=TrafficSpec(duration_seconds=3600.0),
+                traffic=TrafficConfig(duration_seconds=3600.0),
                 faults=FaultPlanSpec(
                     windows=(
                         FaultWindowSpec(

@@ -10,6 +10,7 @@ import dataclasses
 import pytest
 
 from repro.errors import ScenarioError
+from repro.fleet.traffic import TrafficConfig
 from repro.scenarios import (
     FaultPlanSpec,
     FaultWindowSpec,
@@ -18,13 +19,11 @@ from repro.scenarios import (
     Scenario,
     ServerGroupSpec,
     TopologySpec,
-    TrafficSpec,
-    WorkloadMixSpec,
     check_result,
     check_scenario,
+    codec,
     lower_scenario,
     run_scenario,
-    traffic_config,
 )
 
 
@@ -33,14 +32,12 @@ def tiny_scenario(**overrides) -> Scenario:
     defaults = dict(
         name="tiny",
         seed=3,
-        traffic=TrafficSpec(
+        traffic=TrafficConfig(
             duration_seconds=1800.0,
             jobs_per_hour=40.0,
             diurnal_amplitude=0.2,
             peak_time_seconds=900.0,
             lc_fraction=0.2,
-        ),
-        mix=WorkloadMixSpec(
             lc_service_mean=300.0,
             batch_service_mean=600.0,
             service_floor=60.0,
@@ -119,11 +116,20 @@ class TestLowering:
         assert spec.server_id == 0  # cell-local, offset re-applied on merge
 
     def test_traffic_config_merges_traffic_and_mix(self):
-        scenario = tiny_scenario()
-        config = traffic_config(scenario)
+        # [traffic] and [mix] fill one TrafficConfig, and every cell runs
+        # that very config.
+        scenario = codec.loads(
+            "[scenario]\n"
+            "[traffic]\nduration_seconds = 1800.0\nlc_fraction = 0.2\n"
+            "[mix]\nservice_floor = 60.0\nlc_threads = [1]\n"
+        )
+        config = scenario.traffic
         assert config.duration_seconds == 1800.0
         assert config.lc_fraction == 0.2
         assert config.service_floor == 60.0
+        assert config.lc_threads == (1,)
+        lowered = lower_scenario(scenario)
+        assert all(cell.config.traffic is config for cell in lowered.cells)
 
 
 class TestDeterminism:

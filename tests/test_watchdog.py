@@ -36,7 +36,6 @@ from repro.scenarios import (
     Scenario,
     ServerGroupSpec,
     TopologySpec,
-    TrafficSpec,
 )
 
 
@@ -254,8 +253,8 @@ TINY_SCENARIO = Scenario(
     name="tiny_campaign",
     description="one small group, smoke-scale traffic",
     seed=5,
-    traffic=TrafficSpec(duration_seconds=3600.0, jobs_per_hour=40.0,
-                        lc_fraction=0.2),
+    traffic=TrafficConfig(duration_seconds=3600.0, jobs_per_hour=40.0,
+                          lc_fraction=0.2),
     topology=TopologySpec(
         groups=(ServerGroupSpec(name="rack", servers=2),)
     ),
@@ -301,7 +300,7 @@ class TestCampaign:
         big = Scenario(
             name="tiny_campaign_big",
             seed=5,
-            traffic=TrafficSpec(
+            traffic=TrafficConfig(
                 duration_seconds=24 * 3600.0,
                 jobs_per_hour=200.0,
                 lc_fraction=0.2,
