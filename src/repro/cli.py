@@ -28,12 +28,14 @@ Subcommands
     Run, list, validate or golden-check declarative scenario files
     (see ``docs/SCENARIOS.md`` and the catalog under ``scenarios/``).
 
-Every subcommand accepts the shared options ``--workers``,
-``--cache-dir``, ``--timings``, ``--seed``, ``--debug``,
+Every subcommand accepts the shared options ``--seed``, ``--debug``,
 ``--metrics-out`` and ``--trace-spans`` (hoisted into one parent
 parser).  ``--metrics-out`` and ``--trace-spans`` enable the
 zero-perturbation observability layer for the run and write its
 registry snapshot / span JSONL on exit; see ``docs/OBSERVABILITY.md``.
+The batch-runner options sit only where they are read: ``sweep``,
+``figure``, ``fleet`` and ``chaos`` take ``--workers``, ``--cache-dir``
+and ``--timings``; ``scenario`` takes ``--workers``.
 
 Simulator errors (:class:`~repro.errors.ReproError` subclasses) exit
 with a one-line ``error: <Type>: <message>`` on stderr and a distinct
@@ -183,33 +185,10 @@ def validate_numeric_args(args: argparse.Namespace) -> None:
 def _common_options() -> argparse.ArgumentParser:
     """The parent parser every subcommand inherits.
 
-    Batch-runner knobs (``--workers``/``--cache-dir``/``--timings``), the
-    deterministic ``--seed``, and the observability switches
-    (``--metrics-out``/``--trace-spans``) used to be scattered over
-    individual subcommands; hoisting them here makes every command accept
-    them uniformly.
+    The deterministic ``--seed``, ``--debug`` and the observability
+    switches (``--metrics-out``/``--trace-spans``).
     """
     common = argparse.ArgumentParser(add_help=False)
-    runner = common.add_argument_group("batch runner")
-    runner.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool width for independent sweep points (default 1: "
-        "in-process, bit-identical to the parallel schedule)",
-    )
-    runner.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist settled operating points as JSON under DIR and reuse "
-        "them across invocations (e.g. .repro_cache)",
-    )
-    runner.add_argument(
-        "--timings",
-        action="store_true",
-        help="print per-task wall times and cache hit rates after the run",
-    )
     common.add_argument(
         "--seed", type=int, default=7, help="die/traffic seed (default 7)"
     )
@@ -237,6 +216,38 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
+def _runner_options(workers_only: bool = False) -> argparse.ArgumentParser:
+    """The batch-runner options, for the subcommands that read them.
+
+    A subcommand without them rejects them as unknown (exit 2) rather
+    than silently ignoring them.
+    """
+    options = argparse.ArgumentParser(add_help=False)
+    runner = options.add_argument_group("batch runner")
+    runner.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="process-pool width for independent sweep points (default 1: "
+        "in-process, bit-identical to the parallel schedule)",
+    )
+    if workers_only:
+        return options
+    runner.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="persist settled operating points as JSON under DIR and reuse "
+        "them across invocations (e.g. .repro_cache)",
+    )
+    runner.add_argument(
+        "--timings",
+        action="store_true",
+        help="print per-task wall times and cache hit rates after the run",
+    )
+    return options
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -249,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
     common = [_common_options()]
+    with_runner = common + [_runner_options()]
 
     commands.add_parser(
         "workloads", parents=common, help="list the benchmark catalog"
@@ -273,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep_cmd = commands.add_parser(
-        "sweep", parents=common, help="core-scaling sweep (Figs. 3/4)"
+        "sweep", parents=with_runner, help="core-scaling sweep (Figs. 3/4)"
     )
     sweep_cmd.add_argument("workload")
     sweep_cmd.add_argument(
@@ -284,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     figure = commands.add_parser(
-        "figure", parents=common, help="regenerate a paper figure"
+        "figure", parents=with_runner, help="regenerate a paper figure"
     )
     figure.add_argument("name", choices=FIGURES)
 
@@ -304,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = commands.add_parser(
         "fleet",
-        parents=common,
+        parents=with_runner,
         help="simulate a day of job arrivals across a fleet of servers",
     )
     fleet.add_argument(
@@ -406,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = commands.add_parser(
         "chaos",
-        parents=common,
+        parents=with_runner,
         help="run a fleet scenario fault-free and degraded; report the delta",
     )
     chaos.add_argument(
@@ -527,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario = commands.add_parser(
         "scenario",
-        parents=common,
+        parents=common + [_runner_options(workers_only=True)],
         help="run, list, validate or golden-check declarative scenarios",
     )
     scenario.add_argument(
@@ -984,6 +996,11 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
     from .faults.campaign import run_campaign
     from .scenarios import load_catalog
 
+    if args.cache_dir is not None or args.timings:
+        raise ConfigError(
+            "--cache-dir and --timings apply to 'chaos run'; 'chaos "
+            "campaign' does not read them"
+        )
     scenarios = load_catalog(args.catalog_dir)
     report = run_campaign(
         scenarios=scenarios,

@@ -20,6 +20,7 @@ The three layers mirror the physical system:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -366,3 +367,21 @@ class ServerConfig:
 
 DEFAULT_SERVER = ServerConfig()
 """A ready-made default server configuration (two POWER7+ sockets)."""
+
+
+def positive_int_from_env(name: str, default: int) -> int:
+    """The integer value of environment variable ``name``.
+
+    Unset or empty gives ``default``; anything but an integer >= 1 is a
+    :class:`ConfigError` naming the variable.
+    """
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {raw!r}")
+    return value

@@ -43,6 +43,7 @@ import os
 from collections import OrderedDict
 from typing import Any, Hashable, Optional
 
+from ..config import positive_int_from_env
 from ..obs import observability
 from ..sim.cache import (
     CacheStats,
@@ -352,15 +353,14 @@ def fleet_settle_cache() -> FleetSettleCache:
     """The process-global settle cache (created on first use).
 
     Defaults come from ``REPRO_FLEET_SETTLE_DIR`` /
-    ``REPRO_FLEET_SETTLE_ENTRIES`` when set, else memory-only with
-    :data:`DEFAULT_MAX_ENTRIES`.
+    ``REPRO_FLEET_SETTLE_ENTRIES`` when set (an entry count that is not
+    an integer >= 1 is a :class:`~repro.errors.ConfigError`), else
+    memory-only with :data:`DEFAULT_MAX_ENTRIES`.
     """
     global _cache
     if _cache is None:
         _cache = FleetSettleCache(
-            max_entries=int(
-                os.environ.get(ENV_ENTRIES, DEFAULT_MAX_ENTRIES)
-            ),
+            max_entries=positive_int_from_env(ENV_ENTRIES, DEFAULT_MAX_ENTRIES),
             disk_dir=os.environ.get(ENV_DIR) or None,
         )
     return _cache

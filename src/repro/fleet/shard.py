@@ -36,17 +36,14 @@ import heapq
 import json
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import FaultError, SchedulingError
 from ..faults.plan import FaultPlan
 from ..faults.spec import CacheCorruptionFault, JobKillFault
 from ..obs import observability
-from ..sim.batch import SweepRunner
+from ..sim.batch import MAX_SHARD_RETRIES, SweepRunner, fan_out
 from ..sim.cache import canonical_json
 from .engine import FleetConfig, FleetSimulation
 from .metrics import FleetComparison, FleetResult, JobRecord
@@ -252,13 +249,10 @@ def _simulate_cell(
 #: Environment hook for deterministic worker-death tests:
 #: ``kill:cell=<index>,attempt=<n>`` makes the pool worker about to
 #: simulate that cell on that execution attempt die with ``os._exit``.
-#: Retries carry higher attempt numbers, so the kill fires exactly once
+#: Re-runs carry higher attempt numbers, so the kill fires exactly once
 #: and the recovery path is exercised deterministically.  The hook never
 #: fires in the parent process (the in-process last resort stays safe).
 ENV_SHARD_FAULT = "REPRO_SHARD_FAULT"
-
-#: Fresh-pool re-execution rounds before the in-process last resort.
-MAX_SHARD_RETRIES = 2
 
 
 def _maybe_inject_worker_fault(cell_index: int, attempt: int) -> None:
@@ -285,15 +279,19 @@ def _maybe_inject_worker_fault(cell_index: int, attempt: int) -> None:
         os._exit(17)
 
 
-def _run_spec_batch(payload: tuple) -> List[Tuple[int, FleetResult, list]]:
+def _run_spec_batch(
+    payload: tuple, attempt: int
+) -> List[Tuple[int, FleetResult, list]]:
     """Worker entry point: run a batch of cell specs sequentially.
 
-    Module-level so :class:`ProcessPoolExecutor` can pickle it; also the
-    in-process path, which guarantees shard counts cannot change results.
-    The trace is regenerated from ``(traffic, trace_seed)`` rather than
-    shipped across the process boundary, then bucketed by modular
-    routing — a 625-cell fleet regenerates its million-job trace once
-    per *shard*, not once per cell.
+    Module-level so :func:`~repro.sim.batch.fan_out`'s pool can pickle
+    it; also the in-process path, which guarantees shard counts cannot
+    change results.  The trace is regenerated from ``(traffic,
+    trace_seed)`` rather than shipped across the process boundary, then
+    bucketed by modular routing — a 625-cell fleet regenerates its
+    million-job trace once per *shard*, not once per cell.  ``attempt``
+    (the batch's re-run count) only keys the :data:`ENV_SHARD_FAULT`
+    hook.
     """
     (
         traffic,
@@ -303,7 +301,6 @@ def _run_spec_batch(payload: tuple) -> List[Tuple[int, FleetResult, list]]:
         workers,
         n_cells,
         settle_dir,
-        attempt,
     ) = payload
     # Point this process's settle cache at the parent's shared directory:
     # a pool worker starts cold and rebuilds against it; the in-process
@@ -406,79 +403,29 @@ def merge_cell_results(
     )
 
 
-# ----------------------------------------------------------------------
-# Crash-safe pool execution
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardRetry:
-    """One recovered re-execution of a failed shard cell.
+    """One recovered re-execution of a shard cell.
 
     A worker process dying (OOM kill, segfault, node reboot) surfaces as
-    :class:`BrokenProcessPool`; a wedged worker as a timeout.  Either
-    way the failed cells are re-executed deterministically — per-cell
-    results are pure functions of the cell spec, so the recovered merged
-    digest is bit-identical to an unfaulted run (enforced by test).
+    :class:`~concurrent.futures.process.BrokenProcessPool`, and
+    :func:`~repro.sim.batch.fan_out` re-runs the batch it was running.
+    Per-cell results are pure functions of the cell spec, so the
+    recovered merged digest is bit-identical to an unfaulted run
+    (enforced by test).
     """
 
-    #: The cell whose batch failed and was re-executed.
+    #: A cell of the batch that failed and was re-executed.
     cell_index: int
 
     #: Re-execution attempt number (1-based; attempt 0 is the original).
     attempt: int
 
-    #: Why the original execution failed: ``broken_pool`` | ``timeout``.
+    #: Why the previous execution failed: ``broken_pool``.
     reason: str
 
     #: How the retry ran: ``fresh_pool`` | ``in_process``.
     recovered_via: str
-
-
-def _record_shard_retry(reason: str, via: str) -> None:
-    observability().count(
-        "fleet_shard_retries_total",
-        help_text="Failed shard batches re-executed deterministically.",
-        reason=reason,
-        via=via,
-    )
-
-
-def _run_pool_round(
-    items: Sequence[Tuple[list, int]],
-    payload_for: Callable[[list, int], tuple],
-    timeout: Optional[float],
-) -> Tuple[List[Tuple[int, FleetResult, list]], List[Tuple[list, int, str]]]:
-    """Run one round of batches on a fresh pool, isolating failures.
-
-    Returns ``(outcomes, failed)`` where ``failed`` holds
-    ``(batch, attempt, reason)`` for every batch whose worker died or
-    timed out.  Sandbox-level refusals (``OSError`` etc.) propagate to
-    the caller — those mean "no pools here", not "this batch failed".
-    """
-    outcomes: List[Tuple[int, FleetResult, list]] = []
-    failed: List[Tuple[list, int, str]] = []
-    pool = ProcessPoolExecutor(max_workers=len(items))
-    try:
-        futures = []
-        for batch, attempt in items:
-            try:
-                future = pool.submit(_run_spec_batch, payload_for(batch, attempt))
-            except BrokenProcessPool:
-                failed.append((batch, attempt, "broken_pool"))
-                continue
-            futures.append((batch, attempt, future))
-        for batch, attempt, future in futures:
-            try:
-                outcomes.extend(future.result(timeout=timeout))
-            except BrokenProcessPool:
-                failed.append((batch, attempt, "broken_pool"))
-            except FuturesTimeoutError:
-                future.cancel()
-                failed.append((batch, attempt, "timeout"))
-    finally:
-        # Not ``with``: a wedged worker must not deadlock shutdown, and
-        # cancel_futures sheds anything still queued behind a failure.
-        pool.shutdown(wait=False, cancel_futures=True)
-    return outcomes, failed
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +454,6 @@ def run_cell_specs(
     workers: int = 1,
     keep_events: bool = True,
     trace_seed: Optional[int] = None,
-    shard_timeout: Optional[float] = None,
 ) -> ShardedOutcome:
     """Run an explicit cell list — homogeneous or mixed — and merge.
 
@@ -521,12 +467,12 @@ def run_cell_specs(
     SHA-256) is invariant across ``n_shards`` by construction, exactly
     as in the homogeneous case.
 
-    Worker death (:class:`BrokenProcessPool`) or a per-batch timeout
-    (``shard_timeout`` seconds, ``None`` = wait forever) never fails the
-    run: the failed cells are split into single-cell batches and
-    re-executed on a fresh pool for up to :data:`MAX_SHARD_RETRIES`
-    rounds, then in-process as a last resort.  Each re-execution is
-    recorded on :attr:`ShardedOutcome.retries`.
+    Batches fan out through :func:`~repro.sim.batch.fan_out`, so worker
+    death never fails the run: the dead worker's batches re-run on a
+    fresh pool for up to :data:`MAX_SHARD_RETRIES` rounds, then
+    in-process.  Each re-executed cell is recorded on
+    :attr:`ShardedOutcome.retries`.  An exception raised while
+    simulating a cell propagates with its original type.
     """
     if n_shards < 1:
         raise SchedulingError(f"n_shards must be >= 1, got {n_shards}")
@@ -556,52 +502,44 @@ def run_cell_specs(
         for shard in range(min(n_shards, n_cells))
     ]
     settle_dir = fleet_settle_cache().disk_dir
-
-    def payload_for(batch: list, attempt: int) -> tuple:
-        return (
-            traffic, trace_seed, policy, batch, workers, n_cells,
-            settle_dir, attempt,
-        )
-
-    outcomes: List[Tuple[int, FleetResult, list]] = []
+    outcomes, reruns, _ = fan_out(
+        _run_spec_batch,
+        [
+            (traffic, trace_seed, policy, batch, workers, n_cells, settle_dir)
+            for batch in batches
+        ],
+        len(batches),
+    )
     retries: List[ShardRetry] = []
-    pending: List[Tuple[list, int]] = [(b, 0) for b in batches if b]
-    if len(pending) > 1:
-        round_no = 0
-        while pending and round_no <= MAX_SHARD_RETRIES:
-            try:
-                round_out, failed = _run_pool_round(
-                    pending, payload_for, shard_timeout
-                )
-            except (OSError, PermissionError, NotImplementedError):
-                # Sandboxes may refuse process pools; the in-process path
-                # is bit-identical by construction.  Not a recovery event.
-                break
-            outcomes.extend(round_out)
-            round_no += 1
-            # Failed batches are split to single cells so one poisoned
-            # cell cannot drag its batch-mates through every retry round.
-            via = "in_process" if round_no > MAX_SHARD_RETRIES else "fresh_pool"
-            pending = []
-            for batch, attempt, reason in failed:
-                for cell in batch:
-                    pending.append(([cell], attempt + 1))
-                    retries.append(
-                        ShardRetry(
-                            cell_index=cell.index,
-                            attempt=attempt + 1,
-                            reason=reason,
-                            recovered_via=via,
-                        )
+    for attempt in range(1, max(reruns) + 1):
+        via = "in_process" if attempt > MAX_SHARD_RETRIES else "fresh_pool"
+        for batch, batch_reruns in zip(batches, reruns):
+            if batch_reruns < attempt:
+                continue
+            for cell in batch:
+                retries.append(
+                    ShardRetry(
+                        cell_index=cell.index,
+                        attempt=attempt,
+                        reason="broken_pool",
+                        recovered_via=via,
                     )
-                    _record_shard_retry(reason, via)
-    # Whatever is left — the single-batch case, the sandbox fallback, or
-    # cells that exhausted their fresh-pool rounds — runs in-process.
-    # (The kill hook only fires in pool workers, so this always finishes.)
-    for batch, attempt in pending:
-        outcomes.extend(_run_spec_batch(payload_for(batch, attempt)))
-    cell_results = {cell_id: result for cell_id, result, _ in outcomes}
-    cell_lines = {cell_id: lines for cell_id, _, lines in outcomes}
+                )
+                observability().count(
+                    "fleet_shard_retries_total",
+                    help_text="Failed shard batches re-executed "
+                    "deterministically.",
+                    reason="broken_pool",
+                    via=via,
+                )
+    cell_results: Dict[int, FleetResult] = {}
+    cell_lines: Dict[int, List[Tuple[int, str]]] = {}
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        for cell_id, result, lines in outcome:
+            cell_results[cell_id] = result
+            cell_lines[cell_id] = lines
     merged = merge_cell_results(
         ordered[0].config, policy, cell_results, cell_lines,
         keep_events=keep_events,
@@ -619,7 +557,6 @@ def run_sharded(
     fault_plan: Optional[FaultPlan] = None,
     workers: int = 1,
     keep_events: bool = True,
-    shard_timeout: Optional[float] = None,
 ) -> FleetResult:
     """One policy's sharded run over the homogeneous fleet day.
 
@@ -670,7 +607,7 @@ def run_sharded(
     )
     return run_cell_specs(
         cells, policy, n_shards=n_shards, workers=workers,
-        keep_events=keep_events, shard_timeout=shard_timeout,
+        keep_events=keep_events,
     ).merged
 
 

@@ -5,9 +5,9 @@ grids of *independent* settled points: core-scaling sweeps, two-socket
 placements, scheduler comparisons.  :class:`SweepRunner` is the substrate
 that executes such grids
 
-* **in parallel** over a :class:`concurrent.futures.ProcessPoolExecutor`
-  (with a deterministic in-process fallback when ``max_workers == 1`` or
-  the platform cannot fork a pool), and
+* **in parallel** through :func:`fan_out`, the package's one crash-safe
+  process-pool routine (in-process when ``max_workers == 1``, for a
+  single pending task, or when the platform cannot fork a pool), and
 * **memoized** through a keyed :class:`~repro.sim.cache.OperatingPointCache`
   — the figure grids overlap heavily, so most points are settled once and
   replayed from cache everywhere else.
@@ -30,11 +30,13 @@ import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
-from ..config import ServerConfig
+from ..config import ServerConfig, positive_int_from_env
 from ..errors import SweepError
 from ..faults.injector import fault_injector
 from ..guardband import GuardbandMode
@@ -354,17 +356,122 @@ def _settle_mode(
 
 def _execute_task(
     payload: Tuple[ServerConfig, int, SweepTask, Tuple[GuardbandMode, ...]],
+    attempt: int,
 ) -> Tuple[Dict[str, SteadyState], float]:
     """Worker entry point: settle the missing modes of one task.
 
-    Module-level (not a closure) so :class:`ProcessPoolExecutor` can
-    pickle it; also the in-process fallback path, which guarantees the
-    two schedules produce bit-identical results.
+    Module-level (not a closure) so :func:`fan_out`'s pool can pickle
+    it; also the in-process path, which guarantees the two schedules
+    produce bit-identical results.  ``attempt`` is unused: a settle is
+    pure, so a re-run after a worker death computes the same states.
     """
     config, seed, task, modes = payload
     start = time.perf_counter()
     states = {mode.value: _settle_mode(config, seed, task, mode) for mode in modes}
     return states, time.perf_counter() - start
+
+
+# ----------------------------------------------------------------------
+# Crash-safe process-pool fan-out (the sweep runner and the shard layer)
+# ----------------------------------------------------------------------
+#: Fresh-pool re-execution rounds before the in-process last resort.
+MAX_SHARD_RETRIES = 2
+
+
+def fan_out(
+    fn: Callable[[Any, int], Any],
+    payloads: Sequence[Any],
+    max_workers: int,
+) -> Tuple[List[Any], List[int], bool]:
+    """Run ``fn(payload, attempt)`` for every payload, surviving worker death.
+
+    The package's one process-pool routine: the sweep runner fans tasks
+    out through it, the shard layer fans out batches of fleet cells.
+    ``fn`` must be module-level (the pool pickles it) and a pure
+    function of its payload, so where a payload ran never changes its
+    result.
+
+    * With one payload, ``max_workers == 1``, or a sandbox that refuses
+      process pools, every payload runs in-process, in order, and no
+      pool is set up.
+    * Otherwise each round runs the pending payloads on a *fresh* pool.
+      A worker that dies (OOM kill, segfault) breaks its pool, so every
+      payload still unfinished in it fails with
+      :class:`BrokenProcessPool`.  Those payloads are re-run on a fresh
+      pool, for up to :data:`MAX_SHARD_RETRIES` rounds, then in-process,
+      where no pool machinery can kill them.  ``attempt`` is the
+      payload's re-run count (0 on its first run).
+    * An exception raised by ``fn`` is never retried, because a pure
+      payload fails the same way every time.  It is returned in the
+      payload's outcome slot for the caller to report.
+
+    Returns ``(outcomes, reruns, used_processes)``: the outcomes in
+    input order (``fn``'s return value, or the :class:`Exception` it
+    raised), each payload's re-run count, and whether a pool ran.
+    """
+    outcomes: List[Any] = [None] * len(payloads)
+    reruns = [0] * len(payloads)
+    pending = list(range(len(payloads)))
+    used_processes = False
+    if max_workers > 1 and len(payloads) > 1:
+        for attempt in range(MAX_SHARD_RETRIES + 1):
+            try:
+                pending = _pool_round(
+                    fn, payloads, pending, attempt, max_workers, outcomes
+                )
+            except (OSError, NotImplementedError):
+                # Sandboxes may refuse process pools; the in-process path
+                # is bit-identical by construction.  Not a recovery event.
+                break
+            used_processes = True
+            for index in pending:
+                reruns[index] += 1
+            if not pending:
+                break
+    for index in pending:
+        try:
+            outcomes[index] = fn(payloads[index], reruns[index])
+        except Exception as exc:  # noqa: BLE001 - returned to the caller
+            outcomes[index] = exc
+    return outcomes, reruns, used_processes
+
+
+def _pool_round(
+    fn: Callable[[Any, int], Any],
+    payloads: Sequence[Any],
+    pending: List[int],
+    attempt: int,
+    max_workers: int,
+    outcomes: List[Any],
+) -> List[int]:
+    """Run ``pending`` on one fresh pool; return those whose worker died.
+
+    Fills ``outcomes`` for every payload that finished or raised.  A
+    sandbox refusing the pool at start-up (``OSError`` etc.) propagates
+    to :func:`fan_out` — that means "no pools here", not "this payload
+    failed".
+    """
+    dead: List[int] = []
+    pool = ProcessPoolExecutor(max_workers=min(max_workers, len(pending)))
+    try:
+        futures = []
+        for index in pending:
+            try:
+                futures.append((index, pool.submit(fn, payloads[index], attempt)))
+            except BrokenProcessPool:
+                dead.append(index)
+        for index, future in futures:
+            try:
+                outcomes[index] = future.result()
+            except BrokenProcessPool:
+                dead.append(index)
+            except Exception as exc:  # noqa: BLE001 - returned to the caller
+                outcomes[index] = exc
+    finally:
+        # Not ``with``: shutdown must not wait on a wedged worker, and
+        # cancel_futures sheds anything still queued behind a failure.
+        pool.shutdown(wait=False, cancel_futures=True)
+    return sorted(dead)
 
 
 # ----------------------------------------------------------------------
@@ -378,18 +485,14 @@ class TaskTiming:
     wall_time: float
     from_cache: bool
 
-    #: Whether the task ultimately failed (its result slot holds ``None``).
-    failed: bool = False
-
 
 @dataclass(frozen=True)
 class TaskFailure:
-    """One task that exhausted its attempts — the failure manifest entry.
+    """One task that raised — an entry of the failure manifest.
 
-    The batch never aborts on a poisoned task: the exception is captured
-    per key, successful siblings are still settled and cached, and the
-    failure surfaces here (and as ``error: ...`` strings in strict-mode
-    :class:`~repro.errors.SweepError`)."""
+    A poisoned task never aborts its batch: the exception is captured
+    per task, successful siblings are still settled and cached, and
+    :class:`~repro.errors.SweepError` then carries the manifest."""
 
     #: Position of the task in the input batch.
     index: int
@@ -403,7 +506,8 @@ class TaskFailure:
     #: Stringified exception message.
     error: str
 
-    #: Total attempts made (1 + retries).
+    #: Times the task ran: 1, plus one per re-run after its pool worker
+    #: died (an exception itself is never retried).
     attempts: int
 
     def describe(self) -> str:
@@ -432,10 +536,6 @@ class SweepReport:
     #: Snapshot of the cache counters *after* the batch.
     cache_stats: CacheStats
 
-    #: Failure manifest: tasks whose result slot is ``None`` (non-strict
-    #: runners) or that a strict runner's :class:`SweepError` carries.
-    failures: Tuple[TaskFailure, ...] = ()
-
     @property
     def n_tasks(self) -> int:
         """Number of tasks in the batch."""
@@ -447,28 +547,20 @@ class SweepReport:
         return sum(1 for t in self.timings if t.from_cache)
 
     @property
-    def n_failed(self) -> int:
-        """Tasks that exhausted their attempts (see :attr:`failures`)."""
-        return len(self.failures)
-
-    @property
     def n_executed(self) -> int:
         """Tasks that settled at least one fresh operating point."""
-        return self.n_tasks - self.n_from_cache - self.n_failed
+        return self.n_tasks - self.n_from_cache
 
     def summary(self) -> str:
         """Multi-line human-readable timing summary (CLI ``--timings``)."""
         lines = [
             f"sweep: {self.n_tasks} task(s) in {self.wall_time:.2f}s "
             f"({self.n_executed} executed, {self.n_from_cache} from cache, "
-            f"{self.n_failed} failed, "
             f"{'process pool' if self.used_processes else 'in-process'})",
             f"cache: {self.cache_stats.summary()}",
         ]
-        for failure in self.failures:
-            lines.append(f"  FAILED {failure.describe()}")
         executed = sorted(
-            (t for t in self.timings if not t.from_cache and not t.failed),
+            (t for t in self.timings if not t.from_cache),
             key=lambda t: t.wall_time,
             reverse=True,
         )
@@ -498,23 +590,11 @@ class SweepRunner:
         Die seed every task's server is built with (one simulated machine
         for the whole campaign, like the paper's test box).  Per-task
         random streams derive from it via :func:`derive_seed`.
-    task_timeout:
-        Per-task wall-clock budget in seconds on the process-pool path
-        (``None`` = unlimited).  A task that overruns counts as one failed
-        attempt.  The in-process path cannot preempt a running task, so
-        the timeout applies only when a pool executes.
-    max_retries:
-        Bounded retry count per failing task (default 0: one attempt).
-        Retries matter under fault injection, where a failure can clear
-        with time; deterministic failures simply fail ``max_retries + 1``
-        times.
-    strict:
-        ``True`` (default) raises :class:`~repro.errors.SweepError` after
-        the batch completes when any task failed — successful siblings
-        are still settled and cached first, and the error carries the
-        failure manifest.  ``False`` returns the report with ``None``
-        placeholders in ``results`` and the manifest on
-        ``report.failures``.
+
+    Tasks whose pool worker dies are re-run by :func:`fan_out`.  A task
+    that raises is not retried: once the batch completes — successful
+    siblings settled and cached first — :class:`~repro.errors.SweepError`
+    is raised carrying the :class:`TaskFailure` manifest.
     """
 
     def __init__(
@@ -522,22 +602,12 @@ class SweepRunner:
         max_workers: Optional[int] = 1,
         cache: Optional[OperatingPointCache] = None,
         seed_root: int = DEFAULT_SEED_ROOT,
-        task_timeout: Optional[float] = None,
-        max_retries: int = 0,
-        strict: bool = True,
     ) -> None:
         self.max_workers = os.cpu_count() if max_workers is None else max_workers
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be positive, got {task_timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.cache = cache if cache is not None else OperatingPointCache()
         self.seed_root = seed_root
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
-        self.strict = strict
         #: Reports of every batch this runner executed (observability).
         self.reports: List[SweepReport] = []
 
@@ -599,52 +669,64 @@ class SweepRunner:
             if missing:
                 pending.append((index, tuple(missing)))
 
-        # Settle what the cache could not answer.  Worker exceptions are
+        # Settle what the cache could not answer.  Task exceptions are
         # captured per task: one poisoned point never aborts the batch.
         used_processes = False
         fresh_wall: Dict[int, float] = {}
-        failures: List[TaskFailure] = []
         if pending:
-            payloads = [
-                (cfg, seed, tasks[index], modes)
-                for index, modes in pending
-            ]
-            outcomes, used_processes = self._execute(payloads)
-            for (index, _), (fresh, wall, error) in zip(pending, outcomes):
-                if error is not None:
-                    error_type, message, attempts = error
+            # Pool workers cannot see this process's fault injector, so
+            # batches under injection stay in-process to keep the faults
+            # (and the results) coherent.
+            workers = self.max_workers
+            if workers > 1 and fault_injector().enabled:
+                workers = 1
+            outcomes, reruns, used_processes = fan_out(
+                _execute_task,
+                [(cfg, seed, tasks[index], modes) for index, modes in pending],
+                workers,
+            )
+            if max(reruns):
+                observability().count(
+                    "tasks_retried_total",
+                    amount=max(reruns),
+                    help_text="Task retry attempts by layer.",
+                    layer="sweep",
+                )
+            failures: List[TaskFailure] = []
+            for (index, _), outcome, rerun in zip(pending, outcomes, reruns):
+                if isinstance(outcome, Exception):
                     failures.append(
                         TaskFailure(
                             index=index,
                             label=tasks[index].label(),
-                            error_type=error_type,
-                            error=message,
-                            attempts=attempts,
+                            error_type=type(outcome).__name__,
+                            error=str(outcome),
+                            attempts=rerun + 1,
                         )
                     )
                     continue
-                fresh_wall[index] = wall
+                fresh, fresh_wall[index] = outcome
                 for mode_value, state in fresh.items():
                     self.cache.put(keys[index][mode_value], state)
                     states[index][mode_value] = state
+            if failures:
+                observability().count(
+                    "sweep_tasks_total",
+                    amount=len(failures),
+                    help_text="Sweep tasks by outcome.",
+                    outcome="failed",
+                )
+                raise SweepError(
+                    f"{len(failures)} of {len(tasks)} sweep task(s) failed "
+                    f"(first: {failures[0].describe()}); successful tasks "
+                    "were cached",
+                    failures=failures,
+                )
 
-        # Assemble results and the report, in input order.  Failed tasks
-        # hold a ``None`` placeholder so sibling indices stay aligned.
-        failed_indices = {failure.index for failure in failures}
-        results: List[Optional[RunResult]] = []
+        # Assemble results and the report, in input order.
+        results: List[RunResult] = []
         timings = []
         for index, task in enumerate(tasks):
-            if index in failed_indices:
-                results.append(None)
-                timings.append(
-                    TaskTiming(
-                        label=task.label(),
-                        wall_time=0.0,
-                        from_cache=False,
-                        failed=True,
-                    )
-                )
-                continue
             static = states[index][GuardbandMode.STATIC.value]
             adaptive = states[index][task.mode.value]
             results.append(
@@ -668,18 +750,9 @@ class SweepRunner:
             wall_time=time.perf_counter() - start,
             used_processes=used_processes,
             cache_stats=dataclasses.replace(self.cache.stats),
-            failures=tuple(failures),
         )
         self.reports.append(report)
         self._record_report(report)
-        if failures and self.strict:
-            first = failures[0]
-            raise SweepError(
-                f"{len(failures)} of {len(tasks)} sweep task(s) failed "
-                f"(first: {first.describe()}); successful tasks were "
-                "cached — rerun with strict=False for partial results",
-                failures=failures,
-            )
         return report
 
     def _record_report(self, report: SweepReport) -> None:
@@ -706,13 +779,6 @@ class SweepRunner:
             help_text="Sweep tasks by outcome.",
             outcome="executed",
         )
-        if report.n_failed:
-            obs.count(
-                "sweep_tasks_total",
-                amount=report.n_failed,
-                help_text="Sweep tasks by outcome.",
-                outcome="failed",
-            )
         obs.observe(
             "sweep_batch_seconds",
             report.wall_time,
@@ -804,115 +870,6 @@ class SweepRunner:
             }
         )
 
-    def _execute(
-        self, payloads: List[tuple]
-    ) -> Tuple[List[tuple], bool]:
-        """Run payloads through the pool, or in-process when unavailable.
-
-        Returns ``(outcomes, used_processes)`` where each outcome is
-        ``(states, wall, None)`` on success or ``(None, 0.0,
-        (error_type, message, attempts))`` after the task exhausted its
-        attempts.  Worker exceptions never propagate — they land in the
-        failure manifest.
-
-        Pool workers are separate processes and cannot see this process's
-        installed fault injector, so batches running under injection are
-        forced in-process to keep the faults (and the results) coherent.
-        """
-        use_pool = (
-            self.max_workers > 1
-            and len(payloads) > 1
-            and not fault_injector().enabled
-        )
-        if use_pool:
-            try:
-                return self._execute_pool(payloads), True
-            except (OSError, PermissionError, NotImplementedError):
-                # Sandboxes and exotic platforms may refuse process pools;
-                # the in-process path produces bit-identical results.
-                pass
-        return [self._execute_inline(p) for p in payloads], False
-
-    def _execute_pool(self, payloads: List[tuple]) -> List[tuple]:
-        """Pool path: per-future timeout, capped resubmission on failure."""
-        outcomes: List[Optional[tuple]] = [None] * len(payloads)
-        attempts = {i: 0 for i in range(len(payloads))}
-        remaining = list(range(len(payloads)))
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            while remaining:
-                futures = {
-                    i: pool.submit(_execute_task, payloads[i])
-                    for i in remaining
-                }
-                retry: List[int] = []
-                for i, future in futures.items():
-                    attempts[i] += 1
-                    try:
-                        states, wall = future.result(timeout=self.task_timeout)
-                        outcomes[i] = (states, wall, None)
-                    except FuturesTimeoutError:
-                        future.cancel()
-                        self._handle_attempt_failure(
-                            i,
-                            "TimeoutError",
-                            f"task exceeded {self.task_timeout}s",
-                            attempts,
-                            retry,
-                            outcomes,
-                        )
-                    except Exception as exc:  # noqa: BLE001 - manifest capture
-                        self._handle_attempt_failure(
-                            i,
-                            type(exc).__name__,
-                            str(exc),
-                            attempts,
-                            retry,
-                            outcomes,
-                        )
-                remaining = retry
-        return outcomes
-
-    def _execute_inline(self, payload: tuple) -> tuple:
-        """In-process path: bounded retries, exception capture."""
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                states, wall = _execute_task(payload)
-                return (states, wall, None)
-            except Exception as exc:  # noqa: BLE001 - manifest capture
-                if attempts <= self.max_retries:
-                    self._count_retry()
-                    continue
-                return (None, 0.0, (type(exc).__name__, str(exc), attempts))
-
-    def _handle_attempt_failure(
-        self,
-        index: int,
-        error_type: str,
-        message: str,
-        attempts: Dict[int, int],
-        retry: List[int],
-        outcomes: List[Optional[tuple]],
-    ) -> None:
-        if attempts[index] <= self.max_retries:
-            self._count_retry()
-            retry.append(index)
-        else:
-            outcomes[index] = (
-                None,
-                0.0,
-                (error_type, message, attempts[index]),
-            )
-
-    @staticmethod
-    def _count_retry() -> None:
-        observability().count(
-            "tasks_retried_total",
-            help_text="Task retry attempts by layer.",
-            layer="sweep",
-        )
-
 
 # ----------------------------------------------------------------------
 # Process-wide default runner
@@ -924,14 +881,15 @@ def default_runner() -> SweepRunner:
     """The process-wide runner the figure builders share.
 
     Created lazily from the environment: ``REPRO_SWEEP_WORKERS`` sets the
-    pool width (default 1 — in-process), ``REPRO_SWEEP_CACHE_DIR`` enables
+    pool width (default 1 — in-process; anything but an integer >= 1 is a
+    :class:`~repro.errors.ConfigError`), ``REPRO_SWEEP_CACHE_DIR`` enables
     the JSON disk cache.  Sharing one runner means one shared cache, so a
     figure's points settle once per process no matter how many builders
     need them.
     """
     global _default_runner
     if _default_runner is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
+        workers = positive_int_from_env(WORKERS_ENV, 1)
         disk_dir = os.environ.get(CACHE_DIR_ENV) or None
         _default_runner = SweepRunner(
             max_workers=workers,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.config import ChipConfig, PdnConfig, ServerConfig
@@ -43,3 +45,19 @@ def raytrace():
 def lu_cb():
     """The lu_cb profile — the paper's overclocking example."""
     return get_profile("lu_cb")
+
+
+def _pools_available() -> bool:
+    """Whether this sandbox permits process pools at all."""
+    try:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(abs, -1).result(timeout=60) == 1
+    except (OSError, NotImplementedError):
+        return False
+
+
+@pytest.fixture(scope="session")
+def require_pools() -> None:
+    """Skip the requesting test when the sandbox refuses process pools."""
+    if not _pools_available():
+        pytest.skip("sandbox refuses process pools")

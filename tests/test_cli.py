@@ -110,20 +110,58 @@ class TestNumericValidation:
         args = build_parser().parse_args(
             argv
             + [
-                "--workers", "2",
-                "--cache-dir", "cache",
-                "--timings",
                 "--seed", "3",
                 "--metrics-out", "m.json",
                 "--trace-spans", "s.jsonl",
             ]
         )
-        assert args.workers == 2
-        assert args.cache_dir == "cache"
-        assert args.timings is True
         assert args.seed == 3
         assert args.metrics_out == "m.json"
         assert args.trace_spans == "s.jsonl"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "raytrace"], ["figure", "fig3"], ["fleet"], ["chaos"]],
+    )
+    def test_runner_options_on_the_commands_that_read_them(self, argv):
+        args = build_parser().parse_args(
+            argv + ["--workers", "2", "--cache-dir", "cache", "--timings"]
+        )
+        assert args.workers == 2
+        assert args.cache_dir == "cache"
+        assert args.timings is True
+
+    def test_scenario_takes_only_workers(self):
+        args = build_parser().parse_args(
+            ["scenario", "check", "--workers", "2"]
+        )
+        assert args.workers == 2
+        for option in (["--cache-dir", "cache"], ["--timings"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["scenario", "check", *option])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["workloads"],
+            ["measure", "raytrace"],
+            ["audit", "raytrace"],
+            ["selfcheck"],
+            ["report"],
+            ["export", "fig3"],
+            ["metrics", "m.json"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "option", [["--workers", "2"], ["--cache-dir", "cache"], ["--timings"]]
+    )
+    def test_commands_that_ignore_runner_options_reject_them(
+        self, argv, option
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + option)
+        assert exc.value.code == 2
 
     def test_metrics_defaults(self):
         args = build_parser().parse_args(["metrics", "m.json"])
@@ -236,6 +274,23 @@ class TestCommands:
         assert captured.out == ""
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize(
+        "extra", [["--timings"], ["--cache-dir", "cache"]]
+    )
+    def test_chaos_campaign_rejects_runner_only_options(
+        self, extra, capsys, tmp_path
+    ):
+        # The campaign runs every scenario through its own runners; it
+        # has no in-process runner to report on or to point at a cache.
+        argv = ["chaos", "campaign", "--smoke", *extra]
+        argv = [str(tmp_path / a) if a == "cache" else a for a in argv]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not (tmp_path / "cache").exists()
+
     def test_unknown_workload_exits_with_code(self, capsys):
         assert main(["measure", "doom"]) == 3
         err = capsys.readouterr().err
@@ -251,6 +306,34 @@ class TestCommands:
     def test_measure_accepts_seed(self, capsys):
         assert main(["measure", "raytrace", "-n", "2", "--seed", "11"]) == 0
         assert "power saving" in capsys.readouterr().out
+
+
+class TestEnvironmentKnobs:
+    """Malformed environment knobs: one error line, ConfigError exit 4."""
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_bad_sweep_workers(self, value, monkeypatch, capsys):
+        from repro.sim import batch
+
+        monkeypatch.setattr(batch, "_default_runner", None)
+        monkeypatch.setenv(batch.WORKERS_ENV, value)
+        assert main(["export", "fig3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError:")
+        assert "REPRO_SWEEP_WORKERS" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_fleet_settle_entries(self, value, monkeypatch, capsys):
+        from repro.fleet import settle_cache
+
+        monkeypatch.setattr(settle_cache, "_cache", None)
+        monkeypatch.setenv(settle_cache.ENV_ENTRIES, value)
+        assert main(["fleet", "--servers", "2", "--duration", "3600"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError:")
+        assert "REPRO_FLEET_SETTLE_ENTRIES" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestObservabilityOptions:

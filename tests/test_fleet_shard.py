@@ -224,17 +224,6 @@ class TestShardedChaos:
             run_sharded(config, n_shards=1, cell_servers=2, fault_plan=plan)
 
 
-def _pools_available() -> bool:
-    """Whether this sandbox permits process pools at all."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(abs, -1).result(timeout=60) == 1
-    except (OSError, PermissionError, NotImplementedError):
-        return False
-
-
 def _cells_for(config):
     layout = CellLayout(n_servers=config.n_servers, cell_servers=2)
     return tuple(
@@ -250,6 +239,7 @@ def _cells_for(config):
 
 
 @pytest.mark.chaos
+@pytest.mark.usefixtures("require_pools")
 class TestShardCrashRecovery:
     """Worker death never fails the run or moves its digest.
 
@@ -260,11 +250,6 @@ class TestShardCrashRecovery:
     in-process), the retry manifest names them, and the merged SHA-256
     is bit-identical to an unfaulted run.
     """
-
-    @pytest.fixture(autouse=True)
-    def _require_pools(self):
-        if not _pools_available():
-            pytest.skip("sandbox refuses process pools")
 
     def test_killed_worker_recovers_bit_identical(
         self, config, monkeypatch

@@ -225,7 +225,7 @@ class TestDigestInvariance:
         assert fleet_settle_cache().stats.disk_hits > 0
 
     def test_shard_workers_fill_a_shared_dir_a_warm_rerun_replays(
-        self, tmp_path
+        self, tmp_path, require_pools
     ):
         """Pool workers write the shared disk layer; a warm rerun reads it.
 
@@ -234,8 +234,6 @@ class TestDigestInvariance:
         1-shard rerun then starts with an empty memory layer and must
         answer every settle from those files without changing the log.
         """
-        if not _pools_available():
-            pytest.skip("sandbox refuses process pools")
         from repro.fleet.shard import run_sharded
 
         config = FleetConfig(
@@ -267,15 +265,6 @@ class TestDigestInvariance:
         assert stats.misses == 0
 
 
-def _pools_available() -> bool:
-    """Whether this sandbox permits process pools at all."""
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(abs, -1).result(timeout=60) == 1
-    except (OSError, PermissionError, NotImplementedError):
-        return False
-
-
 def _hammer_shared_key(disk_dir: str, settled, n_writes: int) -> int:
     """Pool worker: rewrite one key into a shared dir as fast as possible.
 
@@ -288,6 +277,7 @@ def _hammer_shared_key(disk_dir: str, settled, n_writes: int) -> int:
     return cache.stats.disk_errors
 
 
+@pytest.mark.usefixtures("require_pools")
 class TestConcurrentWriters:
     """Shard workers share the disk layer; racing writers must be safe.
 
@@ -297,11 +287,6 @@ class TestConcurrentWriters:
     concurrently; the read-back must validate with zero corruption
     counters and leave no temp orphans behind.
     """
-
-    @pytest.fixture(autouse=True)
-    def _require_pools(self):
-        if not _pools_available():
-            pytest.skip("sandbox refuses process pools")
 
     def test_two_processes_racing_one_key_never_corrupt(
         self, settled, tmp_path

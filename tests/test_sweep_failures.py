@@ -1,10 +1,21 @@
-"""The sweep runner's failure manifest, strict mode and bounded retries."""
+"""The sweep runner's failure manifest, carried by :class:`SweepError`."""
+
+import functools
+import multiprocessing
+import os
 
 import pytest
 
 from repro.errors import SweepError
 from repro.guardband import GuardbandMode
-from repro.sim.batch import SweepRunner, SweepTask, TaskFailure
+from repro.obs import Observability, install, observability
+from repro.sim import batch
+from repro.sim.batch import (
+    SweepRunner,
+    SweepTask,
+    TaskFailure,
+    core_scaling_tasks,
+)
 from repro.sim.cache import OperatingPointCache
 from repro.workloads import get_profile
 
@@ -24,19 +35,16 @@ def poisoned_task():
 
 
 class TestFailureManifest:
-    def test_non_strict_returns_placeholders_and_manifest(self):
-        runner = SweepRunner(strict=False)
-        report = runner.run([good_task(), poisoned_task()])
-        assert report.n_tasks == 2
-        assert report.n_failed == 1
-        assert report.results[0] is not None
-        assert report.results[1] is None
-        failure = report.failures[0]
+    def test_error_carries_the_manifest(self):
+        with pytest.raises(SweepError) as exc:
+            SweepRunner().run([good_task(), poisoned_task()])
+        (failure,) = exc.value.failures
         assert isinstance(failure, TaskFailure)
         assert failure.index == 1
+        assert failure.label == poisoned_task().label()
         assert failure.error_type == "SchedulingError"
+        # An exception is never retried: a pure task fails every time.
         assert failure.attempts == 1
-        assert report.timings[1].failed
 
     def test_strict_raises_with_manifest_after_caching_successes(self):
         cache = OperatingPointCache()
@@ -52,21 +60,15 @@ class TestFailureManifest:
 
     def test_all_good_batch_has_empty_manifest(self):
         report = SweepRunner().run([good_task()])
-        assert report.n_failed == 0
-        assert report.failures == ()
-
-    def test_bounded_retries_count_attempts(self):
-        runner = SweepRunner(strict=False, max_retries=2)
-        report = runner.run([poisoned_task()])
-        # A deterministic failure burns every attempt: 1 + max_retries.
-        assert report.failures[0].attempts == 3
+        assert report.n_executed == 1
+        assert all(result is not None for result in report.results)
 
     def test_summary_names_failures(self):
-        runner = SweepRunner(strict=False)
-        report = runner.run([good_task(), poisoned_task()])
-        summary = report.summary()
-        assert "1 failed" in summary
-        assert "FAILED" in summary
+        with pytest.raises(SweepError) as exc:
+            SweepRunner().run([good_task(), poisoned_task()])
+        summary = str(exc.value)
+        assert "1 of 2 sweep task(s) failed" in summary
+        assert poisoned_task().label() in summary
         assert "SchedulingError" in summary
 
     def test_failure_describe_mentions_attempts(self):
@@ -75,8 +77,53 @@ class TestFailureManifest:
         )
         assert "after 3 attempts" in failure.describe()
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SweepRunner(task_timeout=0)
-        with pytest.raises(ValueError):
-            SweepRunner(max_retries=-1)
+
+_execute_task = batch._execute_task
+
+
+def _die_once(marker, payload, *attempt):
+    """``_execute_task``, except that the pool worker settling
+    ``raytrace:n3`` dies with ``os._exit`` the first time (``marker``
+    records that it did)."""
+    if (
+        multiprocessing.parent_process() is not None
+        and payload[2].label().startswith("raytrace:n3:")
+        and not os.path.exists(marker)
+    ):
+        open(marker, "w").close()
+        os._exit(17)
+    return _execute_task(payload, *attempt)
+
+
+@pytest.mark.chaos
+@pytest.mark.usefixtures("require_pools")
+class TestWorkerDeath:
+    """A sweep survives a pool worker dying, like a sharded fleet run.
+
+    The dead worker breaks its pool, so every task still unfinished in
+    it fails; they re-run on a fresh pool and the batch completes with
+    the results an in-process run gives.
+    """
+
+    def test_killed_worker_is_rerun_bit_identical(self, tmp_path, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched worker entry point needs fork")
+        tasks = core_scaling_tasks(
+            get_profile("raytrace"), GuardbandMode.UNDERVOLT
+        )
+        assert len(tasks) == 8
+        expected = SweepRunner(max_workers=1).run_results(tasks)
+        marker = str(tmp_path / "killed")
+        monkeypatch.setattr(
+            batch, "_execute_task", functools.partial(_die_once, marker)
+        )
+        previous = install(Observability(enabled=True))
+        try:
+            report = SweepRunner(max_workers=2).run(tasks)
+            retried = observability().metrics.get("tasks_retried_total")
+        finally:
+            install(previous)
+        assert os.path.exists(marker)  # the worker really died
+        assert report.used_processes
+        assert list(report.results) == expected
+        assert retried.labels(layer="sweep").value == 1
