@@ -237,13 +237,15 @@ def _runner_options(workers_only: bool = False) -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="persist settled operating points as JSON under DIR and reuse "
-        "them across invocations (e.g. .repro_cache)",
+        help="persist settles as checksummed JSON under DIR and reuse them "
+        "across invocations: the sweep's operating points (sweep, "
+        "figure) or the fleet settle cache (fleet, chaos run)",
     )
     runner.add_argument(
         "--timings",
         action="store_true",
-        help="print per-task wall times and cache hit rates after the run",
+        help="print cache hit rates after the run (sweep and figure also "
+        "print per-task wall times)",
     )
     return options
 
@@ -807,6 +809,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from .fleet import FleetConfig, TrafficConfig, run_comparison
     from .fleet.metrics import summarize_by_class
+    from .fleet.settle_cache import fleet_settle_cache_dir
     from .fleet.traffic import LATENCY_CRITICAL
     from .sim.cache import canonical_json
 
@@ -824,31 +827,26 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         cap_interval_seconds=args.cap_interval,
         cap_gain=args.cap_gain,
     )
-    sharded = args.shards > 1 or args.cell_servers is not None
-    if sharded and (args.cache_dir is not None or args.timings):
+    if args.shards > 1 and args.timings:
         raise ConfigError(
-            "--cache-dir and --timings apply to the in-process runner; "
-            "they cannot be combined with --shards > 1 or --cell-servers"
+            "--timings reports this process's settle cache; pool workers' "
+            "counters do not reach it, so it cannot be combined with "
+            "--shards > 1"
         )
-    runner = _runner_from_args(args)
     gate = not args.no_advisor_gate
-    if sharded:
-        from .fleet.shard import run_sharded_comparison
-
-        comparison = run_sharded_comparison(
+    with fleet_settle_cache_dir(args.cache_dir) as settle_cache:
+        comparison = run_comparison(
             config,
             n_shards=args.shards,
             cell_servers=args.cell_servers,
             advisor_gate=gate,
             workers=args.workers,
         )
-    else:
-        comparison = run_comparison(config, runner=runner, advisor_gate=gate)
     ags = comparison.ags
     consolidation = comparison.consolidation
     hours = args.duration / 3600.0
     cells = ""
-    if sharded:
+    if args.shards > 1 or args.cell_servers is not None:
         from .fleet.shard import CellLayout
 
         layout = CellLayout(
@@ -921,7 +919,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"wrote {len(ags.events)} events to {args.trace_out}")
     if args.timings:
         print()
-        print(runner.timings_summary())
+        print(f"settle cache: {settle_cache.stats.summary()}")
     return 0
 
 
@@ -954,6 +952,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import chaos_plan, run_chaos
     from .fleet import FleetConfig, TrafficConfig
+    from .fleet.settle_cache import fleet_settle_cache_dir
 
     if args.action == "campaign":
         return _cmd_chaos_campaign(args)
@@ -982,12 +981,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "the chaos plan is empty: --no-crash and --no-corrupt with no "
             "--kill-job leaves nothing to inject"
         )
-    runner = _runner_from_args(args)
-    report = run_chaos(config, plan, runner=runner)
+    with fleet_settle_cache_dir(args.cache_dir) as settle_cache:
+        report = run_chaos(
+            config, plan, runner=SweepRunner(max_workers=args.workers)
+        )
     print(report.render())
     if args.timings:
         print()
-        print(runner.timings_summary())
+        print(f"settle cache: {settle_cache.stats.summary()}")
     return 0
 
 

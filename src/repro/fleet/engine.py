@@ -48,6 +48,7 @@ from ..sim.batch import (
     config_fingerprint,
     default_runner,
 )
+from ..sim.cache import BoundedMemo
 from ..sim.results import RunResult
 from ..sim.run import build_server
 from ..workloads.scaling import RuntimeModel, SocketShare
@@ -68,16 +69,13 @@ from .events import (
 from .metrics import (
     EnergyAccount,
     EventLog,
-    FleetComparison,
     FleetResult,
     JobRecord,
 )
 from .powercap import PowerCapCoordinator
-from .settle_cache import BoundedMemo, fleet_settle_cache
+from .settle_cache import fleet_settle_cache
 from .scheduler import (
     AGS_POLICY,
-    CONSOLIDATION_POLICY,
-    UNGATED_AGS_POLICY,
     FleetPolicy,
     OnlineFleetScheduler,
     PlacementPlan,
@@ -89,6 +87,17 @@ from .traffic import (
     TrafficConfig,
     generate_trace,
 )
+
+#: How long a socket stays in static fallback *after* its injected
+#: telemetry-corruption window ends, before adaptive mode re-arms (the
+#: fleet-level hysteresis dwell).
+FALLBACK_REARM_SECONDS = 300.0
+
+#: Base delay before a requeued job (crash victim, injected kill)
+#: re-attempts placement; doubles per retry of the same job, up to
+#: :data:`RETRY_BACKOFF_CAP_SECONDS`.
+RETRY_BACKOFF_SECONDS = 60.0
+RETRY_BACKOFF_CAP_SECONDS = 960.0
 
 
 @dataclass(frozen=True)
@@ -119,18 +128,6 @@ class FleetConfig:
 
     #: Borrowing/packing regime switch point (fraction of server threads).
     utilization_threshold: float = 0.5
-
-    #: How long a socket stays in static fallback *after* its injected
-    #: telemetry-corruption window ends, before adaptive mode re-arms
-    #: (the fleet-level hysteresis dwell).
-    fallback_rearm_seconds: float = 300.0
-
-    #: Base delay before a requeued job (crash victim, injected kill)
-    #: re-attempts placement; doubles per retry of the same job.
-    retry_backoff_seconds: float = 60.0
-
-    #: Cap on the exponential retry backoff.
-    retry_backoff_cap_seconds: float = 960.0
 
     #: Enforced per-server power cap (W); ``None`` = uncapped.  Every
     #: placement settles no faster than the highest DVFS point whose
@@ -172,14 +169,6 @@ class FleetConfig:
             raise SchedulingError("qos_frequency_fraction must be positive")
         if self.power_off_hysteresis_seconds < 0:
             raise SchedulingError("hysteresis must be >= 0")
-        if self.fallback_rearm_seconds < 0:
-            raise SchedulingError("fallback_rearm_seconds must be >= 0")
-        if self.retry_backoff_seconds <= 0:
-            raise SchedulingError("retry_backoff_seconds must be positive")
-        if self.retry_backoff_cap_seconds < self.retry_backoff_seconds:
-            raise SchedulingError(
-                "retry_backoff_cap_seconds must be >= retry_backoff_seconds"
-            )
         if self.power_cap_w is not None and self.power_cap_w <= 0:
             raise SchedulingError("power_cap_w must be positive")
         if (
@@ -265,7 +254,7 @@ def clear_fleet_memos() -> None:
     """
     from .scheduler import _freq_memo, _plan_memo, _predictor_memo
 
-    fleet_settle_cache().clear_memory()
+    fleet_settle_cache().clear()
     _idle_power_memo.clear()
     _job_rate_memo.clear()
     _predictor_memo.clear()
@@ -991,7 +980,7 @@ class FleetSimulation:
         windows: corruption duration plus the re-arm dwell).  Called once
         before the loop; a no-op with an empty plan.
         """
-        rearm_ns = seconds_to_ns(self.config.fallback_rearm_seconds)
+        rearm_ns = seconds_to_ns(FALLBACK_REARM_SECONDS)
         for spec in self.fault_plan.server_scoped_specs():
             start_ns = seconds_to_ns(spec.start_seconds)
             if isinstance(spec, ServerCrashFault):
@@ -1054,8 +1043,8 @@ class FleetSimulation:
         retries = self.retry_counts.get(job_id, 0) + 1
         self.retry_counts[job_id] = retries
         backoff = min(
-            self.config.retry_backoff_seconds * 2 ** (retries - 1),
-            self.config.retry_backoff_cap_seconds,
+            RETRY_BACKOFF_SECONDS * 2 ** (retries - 1),
+            RETRY_BACKOFF_CAP_SECONDS,
         )
         self.pending_retries.add(job_id)
         self.events.push(
@@ -1480,22 +1469,3 @@ class FleetSimulation:
             powercap_ticks=self.powercap_ticks,
         )
 
-
-def run_comparison(
-    config: FleetConfig,
-    runner: Optional[SweepRunner] = None,
-    advisor_gate: bool = True,
-) -> FleetComparison:
-    """AGS vs. static guardband vs. consolidation over one trace.
-
-    The static-guardband baseline rides along with the AGS run (the sweep
-    runner settles both guardbands of every placement), so only two
-    simulations execute — and they share the operating-point cache.
-    """
-    trace = generate_trace(config.traffic, config.seed)
-    ags_policy = AGS_POLICY if advisor_gate else UNGATED_AGS_POLICY
-    ags = FleetSimulation(config, ags_policy, runner=runner, trace=trace).run()
-    consolidation = FleetSimulation(
-        config, CONSOLIDATION_POLICY, runner=runner, trace=trace
-    ).run()
-    return FleetComparison(ags=ags, consolidation=consolidation)

@@ -33,9 +33,9 @@ from ..core.placement import Placement, ThreadGroup
 from ..errors import SchedulingError
 from ..guardband import GuardbandMode
 from ..obs import observability
+from ..sim.cache import BoundedMemo
 from ..sim.results import RunResult
 from ..sim.run import build_server
-from .settle_cache import BoundedMemo
 from .traffic import JobSpec
 
 #: Process-wide fitted-predictor memo, keyed by config fingerprint

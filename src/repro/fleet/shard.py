@@ -611,7 +611,7 @@ def run_sharded(
     ).merged
 
 
-def run_sharded_comparison(
+def run_comparison(
     config: FleetConfig,
     n_shards: int = 1,
     cell_servers: Optional[int] = None,
@@ -619,23 +619,24 @@ def run_sharded_comparison(
     workers: int = 1,
     keep_events: bool = True,
 ) -> FleetComparison:
-    """Sharded AGS vs. static vs. consolidation over one fleet day."""
+    """AGS vs. static guardband vs. consolidation over one fleet day.
+
+    The static-guardband baseline rides along with the AGS run (every
+    settle covers both guardbands of its placement), so only two runs
+    execute.  ``n_shards=1`` with no ``cell_servers`` is the plain,
+    unsharded simulation.
+    """
     ags_policy = AGS_POLICY if advisor_gate else UNGATED_AGS_POLICY
-    ags = run_sharded(
-        config,
-        ags_policy,
-        n_shards=n_shards,
-        cell_servers=cell_servers,
-        workers=workers,
-        keep_events=keep_events,
-    )
-    consolidation = run_sharded(
-        config,
-        CONSOLIDATION_POLICY,
-        n_shards=n_shards,
-        cell_servers=cell_servers,
-        workers=workers,
-        keep_events=keep_events,
+    ags, consolidation = (
+        run_sharded(
+            config,
+            policy,
+            n_shards=n_shards,
+            cell_servers=cell_servers,
+            workers=workers,
+            keep_events=keep_events,
+        )
+        for policy in (ags_policy, CONSOLIDATION_POLICY)
     )
     return FleetComparison(ags=ags, consolidation=consolidation)
 

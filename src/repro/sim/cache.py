@@ -16,12 +16,17 @@ Components
     Stable short hash of any JSON-able structure (configs, task
     descriptors).  Process- and platform-independent: canonical JSON with
     sorted keys through SHA-256.
-:func:`encode_steady_state` / :func:`decode_steady_state`
+:func:`encode` / :func:`decode`
     Loss-free JSON codec for the nested result dataclasses (floats
     round-trip exactly through ``repr``-based JSON serialization, so a
     disk hit is bit-identical to the original measurement).
-:class:`OperatingPointCache`
-    In-memory LRU with hit/miss counters plus the optional disk layer.
+:class:`BoundedMemo`
+    The package's one LRU, also behind the fleet's process-wide memos.
+:class:`SettleStore`
+    The memory LRU plus the optional checksummed, quarantining disk layer.
+    :class:`OperatingPointCache` (here) and
+    :class:`~repro.fleet.settle_cache.FleetSettleCache` are its two
+    instances, differing only in value type, metric prefix and file name.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import hashlib
 import json
 import os
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Hashable, Optional
 
 from ..chip.power import PowerBreakdown
 from ..guardband import GuardbandMode
@@ -42,9 +47,6 @@ from ..workloads.profile import WorkloadProfile
 from .results import RunResult, SteadyState
 from .server import ServerOperatingPoint
 from .socket import SocketSolution
-
-#: Default directory of the disk layer, relative to the working directory.
-DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Default in-memory entry cap.  One entry is a few kilobytes; the full
 #: figure suite settles ~2000 distinct points, so the default holds it all.
@@ -116,7 +118,8 @@ _CODEC_TYPES = {
 _TUPLE_SENTINEL = "__tuple__"
 
 
-def _encode(value: Any) -> Any:
+def encode(value: Any) -> Any:
+    """JSON-able structure of a result dataclass (inverse of :func:`decode`)."""
     if isinstance(value, GuardbandMode):
         return {"__mode__": value.value}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -126,52 +129,38 @@ def _encode(value: Any) -> Any:
         return {
             "__dc__": name,
             "fields": {
-                field.name: _encode(getattr(value, field.name))
+                field.name: encode(getattr(value, field.name))
                 for field in dataclasses.fields(value)
             },
         }
     if isinstance(value, tuple):
-        return {_TUPLE_SENTINEL: [_encode(v) for v in value]}
+        return {_TUPLE_SENTINEL: [encode(v) for v in value]}
     if isinstance(value, list):
-        return [_encode(v) for v in value]
+        return [encode(v) for v in value]
     if isinstance(value, (int, float, str, bool)) or value is None:
         return value
     raise TypeError(f"no JSON codec for {type(value).__name__}")
 
 
-def _decode(value: Any) -> Any:
+def decode(value: Any) -> Any:
+    """Rebuild what :func:`encode` produced."""
     if isinstance(value, dict):
         if "__mode__" in value:
             return GuardbandMode(value["__mode__"])
         if _TUPLE_SENTINEL in value:
-            return tuple(_decode(v) for v in value[_TUPLE_SENTINEL])
+            return tuple(decode(v) for v in value[_TUPLE_SENTINEL])
         if "__dc__" in value:
             cls = _CODEC_TYPES[value["__dc__"]]
-            fields = {k: _decode(v) for k, v in value["fields"].items()}
+            fields = {k: decode(v) for k, v in value["fields"].items()}
             return cls(**fields)
-        return {k: _decode(v) for k, v in value.items()}
+        return {k: decode(v) for k, v in value.items()}
     if isinstance(value, list):
-        return [_decode(v) for v in value]
+        return [decode(v) for v in value]
     return value
 
 
-def encode_steady_state(state: SteadyState) -> Dict[str, Any]:
-    """JSON-able dict of one settled measurement."""
-    return _encode(state)
-
-
-def decode_steady_state(payload: Dict[str, Any]) -> SteadyState:
-    """Rebuild a :class:`SteadyState` from :func:`encode_steady_state`."""
-    state = _decode(payload)
-    if not isinstance(state, SteadyState):
-        raise TypeError(
-            f"payload decodes to {type(state).__name__}, expected SteadyState"
-        )
-    return state
-
-
 # ----------------------------------------------------------------------
-# The cache
+# The store
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class CacheStats:
@@ -183,8 +172,8 @@ class CacheStats:
     evictions: int = 0
     disk_hits: int = 0
     disk_errors: int = 0
-    #: Disk entries that failed validation (torn/garbage) and were
-    #: quarantined — a subset of ``disk_errors``.
+    #: Disk entries that failed validation (torn/garbage/checksum) and
+    #: were quarantined — a subset of ``disk_errors``.
     corrupt: int = 0
 
     @property
@@ -213,133 +202,262 @@ class CacheStats:
         return line
 
 
-class OperatingPointCache:
-    """LRU cache of settled operating points, with optional JSON disk layer.
+class BoundedMemo:
+    """A dict-shaped LRU: the package's only one.
 
-    Parameters
-    ----------
-    max_entries:
-        In-memory entry cap; least recently used entries are evicted.
-    disk_dir:
-        When given, every store is also persisted as one JSON file
-        ``<key>.json`` under this directory, and in-memory misses fall
-        through to disk.  Corrupt or unreadable files count as misses
-        (and ``disk_errors``), never as failures.
+    Supports exactly the idioms the memos use — ``get``, ``in``, item
+    get/set, ``clear``, ``len`` — and evicts the least recently used
+    entry past ``max_entries``.  Correctness never depends on an entry
+    being present (memos only skip recomputation of pure functions), so
+    eviction is always safe.
     """
+
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            return entries[key]
+        return default
+
+    def __getitem__(self, key: Hashable) -> Any:
+        self._entries.move_to_end(key)
+        return self._entries[key]
+
+    def store(self, key: Hashable, value: Any) -> int:
+        """Insert ``value`` as most recent; returns the entries evicted."""
+        entries = self._entries
+        entries[key] = value
+        entries.move_to_end(key)
+        evicted = 0
+        while len(entries) > self.max_entries:
+            entries.popitem(last=False)
+            evicted += 1
+        return evicted
+
+    __setitem__ = store
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+#: Suffix quarantined disk entries are renamed to, so a persistently bad
+#: file never costs a decode attempt twice.
+QUARANTINE_SUFFIX = ".corrupt"
+
+#: Help text of each ``<prefix>_<what>_total`` metric family of a store.
+_METRIC_HELP = {
+    "lookups": "Cache lookups by outcome (hit, disk_hit, miss).",
+    "stores": "Values stored into the cache.",
+    "evictions": "LRU evictions from the cache's memory layer.",
+    "disk_errors": "Cache disk faults absorbed as misses.",
+    "corrupt": (
+        "Cache disk entries that failed validation (torn, garbage or "
+        "checksum mismatch) and were quarantined."
+    ),
+}
+
+
+def _checksum(encoded: Any) -> str:
+    """SHA-256 over the canonical JSON of an encoded value."""
+    return hashlib.sha256(canonical_json(encoded).encode("utf-8")).hexdigest()
+
+
+class SettleStore(BoundedMemo):
+    """A :class:`BoundedMemo` with counters and a checksummed disk layer.
+
+    Each disk entry is one JSON file ``{"checksum", "result"}``: the
+    :func:`encode`-d value and the SHA-256 of its canonical JSON.  Floats
+    round-trip exactly, so a disk hit is bit-identical to the original
+    settle.  A file that is unparseable, lacks either field, fails its
+    checksum or decodes to the wrong type is quarantined (renamed
+    ``*.corrupt``) and counted as a miss: damage is recomputed, never
+    served.  Writes are atomic (pid-suffixed temp + ``os.replace``), so
+    processes sharing one directory never clobber in-flight writes, and a
+    write failure is absorbed like a read failure.
+
+    The inherited memo is the memory layer (``clear`` drops it and leaves
+    the disk files); ``get``/``put`` add the counters and the disk layer.
+    Subclasses set :attr:`value_type`, :attr:`metric_prefix` and
+    :meth:`_file_name`, and bind ``get``/``put`` in their own class body,
+    where the benchmark tracer resolves them per class.
+    """
+
+    #: Type every value read back from disk must have.
+    value_type: type = object
+
+    #: Metric families are ``<metric_prefix>_<what>_total``.
+    metric_prefix: str = ""
+
+    #: ``False`` turns every lookup into a miss and every store into a no-op.
+    enabled: bool = True
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._metric_names = {
+            what: f"{cls.metric_prefix}_{what}_total" for what in _METRIC_HELP
+        }
 
     def __init__(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         disk_dir: Optional[str] = None,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._max_entries = max_entries
-        self._entries: "OrderedDict[str, SteadyState]" = OrderedDict()
+        super().__init__(max_entries)
         self._disk_dir = disk_dir
         self.stats = CacheStats()
+        # Deterministic chaos hook: while armed, every Nth disk write is
+        # torn mid-payload (see arm_corruption / CacheCorruptionFault).
+        self._corrupt_every: Optional[int] = None
+        self._writes_since_armed = 0
 
     @property
     def disk_dir(self) -> Optional[str]:
         """Directory of the disk layer (``None`` = memory only)."""
         return self._disk_dir
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: str) -> Optional[SteadyState]:
-        """The cached state for ``key``, or ``None`` on a miss."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
+    def _get(self, key: Hashable) -> Any:
+        """The cached value for ``key``, or ``None`` on a miss."""
+        if not self.enabled:
+            return None
+        # The memo lookup inlined: this is the fleet's hottest path.
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
             self.stats.hits += 1
             self._record_lookup("hit")
-            return self._entries[key]
-        state = self._disk_get(key)
-        if state is not None:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            self._record_lookup("disk_hit")
-            self._remember(key, state)
-            return state
-        self.stats.misses += 1
-        self._record_lookup("miss")
-        return None
+            return entries[key]
+        value = self._disk_get(key)
+        if value is None:
+            self.stats.misses += 1
+            self._record_lookup("miss")
+            return None
+        self.stats.hits += 1
+        self.stats.disk_hits += 1
+        self._record_lookup("disk_hit")
+        self._remember(key, value)
+        return value
 
-    def put(self, key: str, state: SteadyState) -> None:
-        """Store one settled state under ``key`` (memory, then disk)."""
-        self._remember(key, state)
+    def _put(self, key: Hashable, value: Any) -> None:
+        """Store ``value`` under ``key`` (memory, then disk)."""
+        if not self.enabled:
+            return
+        self._remember(key, value)
         self.stats.stores += 1
-        observability().count(
-            "opcache_stores_total",
-            help_text="Operating points stored into the cache.",
-        )
-        self._disk_put(key, state)
+        self._count("stores")
+        self._disk_put(key, value)
 
-    @staticmethod
-    def _record_disk_error(op: str) -> None:
-        observability().count(
-            "opcache_disk_errors_total",
-            help_text="Disk-layer faults absorbed as misses.",
-            op=op,
-        )
+    def arm_corruption(self, every_n: Optional[int]) -> Optional[int]:
+        """Arm (``every_n >= 1``) or disarm (``None``) write tearing.
 
-    @staticmethod
-    def _record_lookup(result: str) -> None:
-        observability().count(
-            "opcache_lookups_total",
-            help_text="Operating-point cache lookups by outcome.",
-            result=result,
-        )
-
-    def clear(self) -> None:
-        """Drop the in-memory layer (disk files are left in place)."""
-        self._entries.clear()
+        While armed, every ``every_n``-th disk write is truncated
+        mid-payload after the atomic replace — a deterministic stand-in
+        for torn writes (power loss, full disk).  Returns the previous
+        setting so callers can restore it; the write counter restarts on
+        every call, keeping the tear sequence a pure function of the
+        write order since arming.
+        """
+        if every_n is not None and every_n < 1:
+            raise ValueError(f"every_n must be >= 1, got {every_n}")
+        previous = self._corrupt_every
+        self._corrupt_every = every_n
+        self._writes_since_armed = 0
+        return previous
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _remember(self, key: str, state: SteadyState) -> None:
-        self._entries[key] = state
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            observability().count(
-                "opcache_evictions_total",
-                help_text="LRU evictions from the in-memory layer.",
-            )
+    @staticmethod
+    def _file_name(key: Hashable) -> str:
+        raise NotImplementedError
 
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self._disk_dir, f"{key}.json")
+    def _record_lookup(self, result: str) -> None:
+        observability().count(
+            self._metric_names["lookups"],
+            help_text=_METRIC_HELP["lookups"],
+            result=result,
+        )
 
-    def _disk_get(self, key: str) -> Optional[SteadyState]:
+    def _count(self, what: str, amount: float = 1.0, **labels: Any) -> None:
+        observability().count(
+            self._metric_names[what],
+            amount,
+            help_text=_METRIC_HELP[what],
+            **labels,
+        )
+
+    def _remember(self, key: Hashable, value: Any) -> None:
+        evicted = self.store(key, value)
+        if evicted:
+            self.stats.evictions += evicted
+            self._count("evictions", evicted)
+
+    def _disk_get(self, key: Hashable) -> Any:
         if self._disk_dir is None:
             return None
-        path = self._disk_path(key)
+        path = os.path.join(self._disk_dir, self._file_name(key))
         if not os.path.exists(path):
             return None
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            return decode_steady_state(payload["state"])
-        except (OSError, ValueError, KeyError, TypeError):
+            encoded = payload["result"]
+            if _checksum(encoded) != payload["checksum"]:
+                raise ValueError("checksum mismatch")
+            value = decode(encoded)
+            if not isinstance(value, self.value_type):
+                raise TypeError(
+                    f"entry decodes to {type(value).__name__}, expected "
+                    f"{self.value_type.__name__}"
+                )
+            return value
+        except OSError:
             self.stats.disk_errors += 1
-            self._record_disk_error("read")
-            return None
+            self._count("disk_errors", op="read")
+        except (ValueError, KeyError, TypeError):
+            self._quarantine(path)
+        return None
 
-    def _disk_put(self, key: str, state: SteadyState) -> None:
+    def _quarantine(self, path: str) -> None:
+        """Count one corrupt disk entry and move it out of the namespace.
+
+        Renaming (not deleting) keeps the evidence for post-mortems while
+        guaranteeing the next lookup recomputes instead of re-decoding a
+        known-bad file.
+        """
+        self.stats.disk_errors += 1
+        self.stats.corrupt += 1
+        self._count("disk_errors", op="read")
+        self._count("corrupt")
+        try:
+            os.replace(path, path + QUARANTINE_SUFFIX)
+        except OSError:
+            pass
+
+    def _disk_put(self, key: Hashable, value: Any) -> None:
         if self._disk_dir is None:
             return
-        # The temp name carries the pid so shard/sweep workers sharing one
-        # cache directory never clobber each other's in-flight writes.
-        tmp = self._disk_path(key) + f".{os.getpid()}.tmp"
+        path = os.path.join(self._disk_dir, self._file_name(key))
+        tmp = path + f".{os.getpid()}.tmp"
         try:
             os.makedirs(self._disk_dir, exist_ok=True)
-            payload = {"key": key, "state": encode_steady_state(state)}
+            encoded = encode(value)
+            payload = {"checksum": _checksum(encoded), "result": encoded}
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     json.dump(payload, fh)
-                os.replace(tmp, self._disk_path(key))
+                os.replace(tmp, path)
             finally:
                 # A dump that died mid-write (encoder TypeError, ENOSPC,
                 # kill between write and replace) must not strand the temp
@@ -351,4 +469,40 @@ class OperatingPointCache:
                         pass
         except (OSError, TypeError, ValueError):
             self.stats.disk_errors += 1
-            self._record_disk_error("write")
+            self._count("disk_errors", op="write")
+            return
+        if self._corrupt_every:
+            self._writes_since_armed += 1
+            if self._writes_since_armed % self._corrupt_every == 0:
+                self._tear(path)
+
+    def _tear(self, path: str) -> None:
+        """Truncate a just-written entry mid-payload (the armed fault)."""
+        try:
+            size = os.path.getsize(path)
+            with open(path, "r+b") as fh:
+                fh.truncate(max(1, size // 2))
+        except OSError:
+            return
+        observability().count(
+            "faults_injected_total",
+            help_text="Fault injections applied, by fault kind.",
+            kind="cache_fault",
+        )
+
+
+class OperatingPointCache(SettleStore):
+    """The sweep runner's cache of settled :class:`SteadyState` points.
+
+    Keys are the runner's point fingerprints; a key's disk entry is
+    ``<key>.json`` under ``disk_dir``.
+    """
+
+    value_type = SteadyState
+    metric_prefix = "opcache"
+    get = SettleStore._get
+    put = SettleStore._put
+
+    @staticmethod
+    def _file_name(key: str) -> str:
+        return f"{key}.json"

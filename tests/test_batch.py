@@ -21,8 +21,8 @@ from repro.sim.batch import (
 )
 from repro.sim.cache import (
     OperatingPointCache,
-    decode_steady_state,
-    encode_steady_state,
+    decode,
+    encode,
     fingerprint,
 )
 from repro.workloads import get_profile
@@ -199,8 +199,8 @@ class TestDiskCache:
         state = runner.run_results(
             [SweepTask.consolidated(raytrace, 3, GuardbandMode.UNDERVOLT)]
         )[0].adaptive
-        payload = json.loads(json.dumps(encode_steady_state(state)))
-        assert decode_steady_state(payload) == state
+        payload = json.loads(json.dumps(encode(state)))
+        assert decode(payload) == state
 
 
 class TestReports:

@@ -2,16 +2,24 @@
 
 The disk layer's contract is *absorb, never raise*: a truncated, corrupt,
 or unreadable cache file must count as a miss (and a ``disk_errors``
-tick), so a damaged cache directory can never take down a sweep.
+tick), so a damaged cache directory can never take down a sweep.  Every
+entry carries a checksum, so damage that leaves the JSON valid is caught
+too: the file is quarantined and the point recomputed, never served.
 """
 
+import hashlib
 import json
+import os
+import re
 
 import pytest
 
 from repro.api import measure
+from repro.guardband import GuardbandMode
 from repro.obs import Observability, install
-from repro.sim.cache import OperatingPointCache
+from repro.sim.batch import SweepRunner, core_scaling_tasks
+from repro.sim.cache import OperatingPointCache, canonical_json, encode
+from repro.workloads import get_profile
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +37,12 @@ def disk_cache(tmp_path):
 
 def _disk_file(cache, key):
     return cache.disk_dir + f"/{key}.json"
+
+
+def _envelope(encoded):
+    """A disk entry with a valid checksum over ``encoded``."""
+    checksum = hashlib.sha256(canonical_json(encoded).encode("utf-8"))
+    return {"checksum": checksum.hexdigest(), "result": encoded}
 
 
 class TestDiskFaults:
@@ -57,26 +71,35 @@ class TestDiskFaults:
         assert disk_cache.get("k") is None
         assert disk_cache.stats.disk_errors == 1
 
-    def test_valid_json_missing_state_key_is_a_miss(self, disk_cache):
+    def test_valid_json_missing_state_key_is_a_miss(
+        self, disk_cache, steady_state
+    ):
+        # A checksum with no "result" field beside it.
+        entry = _envelope(encode(steady_state))
+        del entry["result"]
         with open(_disk_file(disk_cache, "k"), "w") as fh:
-            json.dump({"key": "k"}, fh)
+            json.dump(entry, fh)
         assert disk_cache.get("k") is None
         assert disk_cache.stats.disk_errors == 1
+        assert disk_cache.stats.corrupt == 1
+        assert os.path.exists(_disk_file(disk_cache, "k") + ".corrupt")
 
     def test_state_of_wrong_type_is_a_miss(self, disk_cache):
-        # decodes cleanly, but to a GuardbandMode rather than a SteadyState
+        # Checksum valid, decodes cleanly, but to a GuardbandMode rather
+        # than a SteadyState.
         with open(_disk_file(disk_cache, "k"), "w") as fh:
-            json.dump({"key": "k", "state": {"__mode__": "undervolt"}}, fh)
+            json.dump(_envelope({"__mode__": "undervolt"}), fh)
         assert disk_cache.get("k") is None
         assert disk_cache.stats.disk_errors == 1
+        assert disk_cache.stats.corrupt == 1
+        assert os.path.exists(_disk_file(disk_cache, "k") + ".corrupt")
 
     def test_unknown_dataclass_in_state_is_a_miss(self, disk_cache):
         with open(_disk_file(disk_cache, "k"), "w") as fh:
-            json.dump(
-                {"key": "k", "state": {"__dc__": "Bogus", "fields": {}}}, fh
-            )
+            json.dump(_envelope({"__dc__": "Bogus", "fields": {}}), fh)
         assert disk_cache.get("k") is None
         assert disk_cache.stats.disk_errors == 1
+        assert disk_cache.stats.corrupt == 1
 
     def test_write_failure_is_absorbed(self, tmp_path, steady_state):
         # disk_dir collides with an existing *file*: every disk write fails
@@ -173,3 +196,72 @@ class TestLruAccounting:
         assert len(disk_cache) == 0
         assert disk_cache.get("k") is not None  # served from disk
         assert disk_cache.stats.disk_hits == 1
+
+
+class TestChecksummedEntries:
+    """Damage that keeps the JSON valid is recomputed, never served."""
+
+    TASKS = core_scaling_tasks(
+        get_profile("raytrace"), GuardbandMode.UNDERVOLT, (1, 2)
+    )
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return SweepRunner(cache=OperatingPointCache()).run_results(self.TASKS)
+
+    def _settle_to_disk(self, disk_dir):
+        SweepRunner(cache=OperatingPointCache(disk_dir=disk_dir)).run(
+            self.TASKS
+        )
+        return sorted(os.listdir(disk_dir))
+
+    def _rerun(self, disk_dir):
+        runner = SweepRunner(cache=OperatingPointCache(disk_dir=disk_dir))
+        return runner.run_results(self.TASKS), runner.cache.stats
+
+    def test_changed_digit_is_quarantined_and_recomputed(
+        self, tmp_path, fresh
+    ):
+        disk = str(tmp_path)
+        names = self._settle_to_disk(disk)
+        assert len(names) == 4  # static + undervolt at two core counts
+        damaged = names[::2]
+        for name in damaged:
+            path = os.path.join(disk, name)
+            text = open(path).read()
+            # Bump the first fractional digit of the first float: the
+            # file stays valid JSON, only one stored value changes.
+            match = re.search(r"\d\.(\d)", text)
+            digit = str((int(match.group(1)) + 1) % 10)
+            text = text[: match.start(1)] + digit + text[match.end(1):]
+            json.loads(text)
+            with open(path, "w") as fh:
+                fh.write(text)
+        results, stats = self._rerun(disk)
+        assert results == fresh
+        assert stats.corrupt == len(damaged)
+        assert stats.disk_hits == len(names) - len(damaged)
+        assert sorted(os.listdir(disk)) == sorted(
+            names + [name + ".corrupt" for name in damaged]
+        )
+        # The recomputed points were stored afresh: a third run reads all.
+        results, stats = self._rerun(disk)
+        assert results == fresh
+        assert (stats.disk_hits, stats.corrupt) == (len(names), 0)
+
+    def test_old_key_state_entries_are_quarantined(self, tmp_path, fresh):
+        disk = str(tmp_path)
+        names = self._settle_to_disk(disk)
+        for name in names:
+            path = os.path.join(disk, name)
+            with open(path) as fh:
+                entry = json.load(fh)
+            with open(path, "w") as fh:
+                json.dump({"key": name[:-5], "state": entry["result"]}, fh)
+        results, stats = self._rerun(disk)
+        assert results == fresh
+        assert stats.disk_hits == 0
+        assert stats.corrupt == len(names)
+        assert sorted(os.listdir(disk)) == sorted(
+            names + [name + ".corrupt" for name in names]
+        )

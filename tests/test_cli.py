@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -231,7 +233,7 @@ class TestCommands:
         assert "conserved" in out
         assert "static guardband" in out
         assert "event log:" in out
-        assert "cache:" in out  # --timings prints runner stats
+        assert "settle cache: " in out  # --timings prints the cache stats
         lines = trace_path.read_text().splitlines()
         assert lines, "trace-out must contain events"
         import json
@@ -256,14 +258,16 @@ class TestCommands:
         "extra",
         [
             ["--shards", "2", "--timings"],
-            ["--cell-servers", "1", "--cache-dir", "cache"],
+            ["--cell-servers", "1", "--shards", "2", "--cache-dir", "cache",
+             "--timings"],
         ],
     )
     def test_sharded_fleet_rejects_runner_only_options(
         self, extra, capsys, tmp_path
     ):
-        # The sharded path has no in-process runner to report on or to
-        # point at a cache directory, so these options would be dropped.
+        # Pool workers' cache counters never reach the parent, so
+        # --timings would report a cache the run did not use.  The refusal
+        # comes before anything touches the cache directory.
         argv = ["fleet", "--servers", "2", "--duration", "3600", *extra]
         argv = [str(tmp_path / a) if a == "cache" else a for a in argv]
         assert main(argv) == 4
@@ -273,6 +277,48 @@ class TestCommands:
         assert "--shards" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "layout",
+        [[], ["--cell-servers", "1"], ["--cell-servers", "1", "--shards", "2"]],
+    )
+    def test_fleet_cache_dir_persists_settles_for_every_layout(
+        self, layout, capsys, tmp_path
+    ):
+        cache = tmp_path / "settle"
+        argv = ["fleet", "--servers", "2", "--duration", "3600",
+                "--cache-dir", str(cache), *layout]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        logs = [
+            next(line for line in out.splitlines() if line.startswith("event log:"))
+            for out in outputs
+        ]
+        assert logs[0] == logs[1]
+        names = [p.name for p in cache.iterdir()]
+        assert names
+        assert all(n.startswith("settle-") and n.endswith(".json") for n in names)
+
+    def test_fleet_timings_reports_disk_hits(self, capsys, tmp_path):
+        argv = ["fleet", "--servers", "2", "--duration", "3600",
+                "--cache-dir", str(tmp_path), "--cell-servers", "1",
+                "--timings"]
+        lines = []
+        for _ in range(2):
+            assert main(argv) == 0
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+        assert all(line.startswith("settle cache: ") for line in lines)
+        stores, from_disk = zip(
+            *(
+                map(int, re.search(r"(\d+) stores, (\d+) from", line).groups())
+                for line in lines
+            )
+        )
+        # The second run's fresh cache reads back what the first stored.
+        assert from_disk[0] == 0 and stores[0] > 0
+        assert stores[1] == 0 and from_disk[1] == stores[0]
 
     @pytest.mark.parametrize(
         "extra", [["--timings"], ["--cache-dir", "cache"]]

@@ -16,7 +16,7 @@ from repro.faults import (
     run_chaos,
 )
 from repro.fleet import FleetConfig, TrafficConfig
-from repro.fleet.engine import FleetSimulation
+from repro.fleet.engine import FALLBACK_REARM_SECONDS, FleetSimulation
 from repro.fleet.scheduler import AGS_POLICY
 from repro.fleet.traffic import generate_trace
 from repro.obs import Observability, install
@@ -97,8 +97,8 @@ class TestChaosScenario:
 
     def test_fallback_time_is_bounded(self, report, config):
         # The corruption window is 20% of the horizon; the engine re-arms
-        # after the window plus the configured hysteresis dwell.
-        bound = 0.2 * DURATION + config.fallback_rearm_seconds
+        # after the window plus the hysteresis dwell.
+        bound = 0.2 * DURATION + FALLBACK_REARM_SECONDS
         assert 0.0 < report.fallback_seconds <= bound
 
     def test_reports_energy_and_qos_cost(self, report):

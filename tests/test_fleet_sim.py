@@ -122,8 +122,10 @@ class TestEnergy:
         result = FleetSimulation(short_config, CONSOLIDATION_POLICY).run()
         assert result.adaptive_energy_joules == result.static_energy_joules
 
-    def test_comparison_report(self, short_config):
+    def test_comparison_report(self, short_config, short_result):
         comparison = run_comparison(short_config)
+        # One cell, one shard: the plain simulation, bit for bit.
+        assert comparison.ags.event_log_hash == short_result.event_log_hash
         assert comparison.ags_energy_joules < comparison.static_energy_joules
         assert comparison.consolidation_energy_joules > 0
         assert 0 < comparison.saving_vs_static < 0.5

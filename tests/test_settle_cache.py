@@ -10,12 +10,12 @@ from repro.api import measure
 from repro.fleet import FleetConfig, TrafficConfig
 from repro.fleet.engine import FleetSimulation, clear_fleet_memos
 from repro.fleet.settle_cache import (
-    BoundedMemo,
     FleetSettleCache,
     configure_fleet_settle_cache,
     ensure_settle_cache_dir,
     fleet_settle_cache,
 )
+from repro.sim.cache import BoundedMemo
 from repro.sim.results import RunResult
 
 #: Small but non-trivial fleet day for the identity tests.
