@@ -34,8 +34,9 @@ parser).  ``--metrics-out`` and ``--trace-spans`` enable the
 zero-perturbation observability layer for the run and write its
 registry snapshot / span JSONL on exit; see ``docs/OBSERVABILITY.md``.
 The batch-runner options sit only where they are read: ``sweep``,
-``figure``, ``fleet`` and ``chaos`` take ``--workers``, ``--cache-dir``
-and ``--timings``; ``scenario`` takes ``--workers``.
+``figure``, ``fleet`` and ``chaos`` take ``--cache-dir`` and
+``--timings``, and only ``sweep`` and ``figure`` take ``--workers``
+(fleet settles are one-task batches, which never reach a pool).
 
 Simulator errors (:class:`~repro.errors.ReproError` subclasses) exit
 with a one-line ``error: <Type>: <message>`` on stderr and a distinct
@@ -216,7 +217,7 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
-def _runner_options(workers_only: bool = False) -> argparse.ArgumentParser:
+def _runner_options(workers: bool) -> argparse.ArgumentParser:
     """The batch-runner options, for the subcommands that read them.
 
     A subcommand without them rejects them as unknown (exit 2) rather
@@ -224,15 +225,15 @@ def _runner_options(workers_only: bool = False) -> argparse.ArgumentParser:
     """
     options = argparse.ArgumentParser(add_help=False)
     runner = options.add_argument_group("batch runner")
-    runner.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool width for independent sweep points (default 1: "
-        "in-process, bit-identical to the parallel schedule)",
-    )
-    if workers_only:
-        return options
+    if workers:
+        runner.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="process-pool width for independent sweep points "
+            "(default 1: in-process, bit-identical to the parallel "
+            "schedule)",
+        )
     runner.add_argument(
         "--cache-dir",
         default=None,
@@ -262,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
     common = [_common_options()]
-    with_runner = common + [_runner_options()]
+    with_sweep_runner = common + [_runner_options(workers=True)]
+    with_settle_cache = common + [_runner_options(workers=False)]
 
     commands.add_parser(
         "workloads", parents=common, help="list the benchmark catalog"
@@ -287,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sweep_cmd = commands.add_parser(
-        "sweep", parents=with_runner, help="core-scaling sweep (Figs. 3/4)"
+        "sweep",
+        parents=with_sweep_runner,
+        help="core-scaling sweep (Figs. 3/4)",
     )
     sweep_cmd.add_argument("workload")
     sweep_cmd.add_argument(
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     figure = commands.add_parser(
-        "figure", parents=with_runner, help="regenerate a paper figure"
+        "figure", parents=with_sweep_runner, help="regenerate a paper figure"
     )
     figure.add_argument("name", choices=FIGURES)
 
@@ -318,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = commands.add_parser(
         "fleet",
-        parents=with_runner,
+        parents=with_settle_cache,
         help="simulate a day of job arrivals across a fleet of servers",
     )
     fleet.add_argument(
@@ -420,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = commands.add_parser(
         "chaos",
-        parents=with_runner,
+        parents=with_settle_cache,
         help="run a fleet scenario fault-free and degraded; report the delta",
     )
     chaos.add_argument(
@@ -541,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario = commands.add_parser(
         "scenario",
-        parents=common + [_runner_options(workers_only=True)],
+        parents=common,
         help="run, list, validate or golden-check declarative scenarios",
     )
     scenario.add_argument(
@@ -840,21 +844,21 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             n_shards=args.shards,
             cell_servers=args.cell_servers,
             advisor_gate=gate,
-            workers=args.workers,
         )
     ags = comparison.ags
     consolidation = comparison.consolidation
     hours = args.duration / 3600.0
     cells = ""
     if args.shards > 1 or args.cell_servers is not None:
-        from .fleet.shard import CellLayout
+        from .fleet.shard import build_cells
 
-        layout = CellLayout(
-            n_servers=args.servers,
-            cell_servers=args.cell_servers or args.servers,
-        )
+        widths = [
+            cell.config.n_servers
+            for cell in build_cells([(config, args.cell_servers, "")])
+        ]
+        last = f" (last {widths[-1]})" if widths[-1] != widths[0] else ""
         cells = (
-            f", {layout.n_cells} cell(s) x {layout.cell_servers} server(s) "
+            f", {len(widths)} cell(s) x {widths[0]} server(s){last} "
             f"over {args.shards} shard(s)"
         )
     print(
@@ -982,9 +986,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "--kill-job leaves nothing to inject"
         )
     with fleet_settle_cache_dir(args.cache_dir) as settle_cache:
-        report = run_chaos(
-            config, plan, runner=SweepRunner(max_workers=args.workers)
-        )
+        report = run_chaos(config, plan, runner=SweepRunner())
     print(report.render())
     if args.timings:
         print()
@@ -1008,7 +1010,6 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
         seed=args.fault_seed,
         smoke=args.smoke,
         strict=True,
-        workers=args.workers,
         progress=lambda name: print(f"  campaigning {name}..."),
     )
     print(report.render())
@@ -1069,10 +1070,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                     scenario, args.overrides
                 )
             result = run_scenario(
-                scenario,
-                seed=args.seed,
-                n_shards=args.shards,
-                workers=args.workers,
+                scenario, seed=args.seed, n_shards=args.shards
             )
             _print_scenario_result(result, seed=args.seed)
             if args.trace_out:
@@ -1101,9 +1099,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         raise ScenarioError("no scenarios with golden blocks to check")
     failed = False
     for scenario in checkable:
-        result = run_scenario(
-            scenario, n_shards=args.shards, workers=args.workers
-        )
+        result = run_scenario(scenario, n_shards=args.shards)
         verdict = check_result(result)
         status = "ok" if verdict.passed else "FAILED"
         print(f"{scenario.name}: {status}")

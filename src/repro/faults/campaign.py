@@ -164,7 +164,6 @@ def run_campaign(
     smoke: bool = False,
     strict: bool = True,
     n_shards: int = 1,
-    workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> CampaignReport:
     """Drive every scenario fault-free and randomly degraded.
@@ -209,16 +208,10 @@ def run_campaign(
         previous = install_watchdog(handle)
         try:
             baseline = run_scenario(
-                baseline_scenario,
-                n_shards=n_shards,
-                workers=workers,
-                keep_events=False,
+                baseline_scenario, n_shards=n_shards, keep_events=False
             )
             degraded = run_scenario(
-                degraded_scenario,
-                n_shards=n_shards,
-                workers=workers,
-                keep_events=False,
+                degraded_scenario, n_shards=n_shards, keep_events=False
             )
         finally:
             install_watchdog(previous)

@@ -30,9 +30,9 @@ from .metrics import (
 )
 from .powercap import CapUpdate, PowerCapCoordinator, decompose_budget
 from .shard import (
-    CellLayout,
     CellSpec,
     ShardedOutcome,
+    build_cells,
     default_shards,
     merge_cell_results,
     run_cell_specs,
@@ -63,8 +63,8 @@ __all__ = [
     "AGS_POLICY",
     "ArrivalEvent",
     "BATCH",
+    "build_cells",
     "CapUpdate",
-    "CellLayout",
     "CellSpec",
     "CompletionEvent",
     "CONSOLIDATION_POLICY",

@@ -146,18 +146,13 @@ class FleetConfig:
     #: Integral gain of the coordinator's budget-tracking controller.
     cap_gain: float = 0.5
 
-    #: Optional per-server integral gains (one per server, each in
-    #: (0, 2]); overrides ``cap_gain`` per server.  Scenario lowering
-    #: derives these from the server group's plant response (aged
-    #: silicon tracks its cap with less authority).
-    cap_gains: Optional[Tuple[float, ...]] = None
-
     #: Budget re-decomposition schedule: ``(time_seconds, budget_w)``
     #: pairs applied at the first coordinator tick at or after each
-    #: time.  Scenario lowering compiles crash/repair windows into this
-    #: schedule so a cell's budget share follows the live server set —
-    #: statically, with no cross-cell runtime communication, so the
-    #: sharded digest stays invariant.  Empty = fixed budget.
+    #: time.  :func:`~repro.fleet.shard.build_cells` compiles crashes
+    #: and repairs into this schedule so a cell's budget share follows
+    #: the live server set — statically, with no cross-cell runtime
+    #: communication, so the sharded digest stays invariant.  Empty =
+    #: fixed budget.
     fleet_power_budget_schedule: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -180,18 +175,6 @@ class FleetConfig:
             raise SchedulingError("cap_interval_seconds must be positive")
         if not 0 < self.cap_gain <= 2:
             raise SchedulingError("cap_gain must be in (0, 2]")
-        if self.cap_gains is not None:
-            object.__setattr__(self, "cap_gains", tuple(self.cap_gains))
-            if len(self.cap_gains) != self.n_servers:
-                raise SchedulingError(
-                    f"cap_gains must have one entry per server "
-                    f"({self.n_servers}), got {len(self.cap_gains)}"
-                )
-            for gain in self.cap_gains:
-                if not 0 < gain <= 2:
-                    raise SchedulingError(
-                        f"cap_gains entries must be in (0, 2], got {gain}"
-                    )
         object.__setattr__(
             self,
             "fleet_power_budget_schedule",
@@ -301,6 +284,20 @@ class _RunningJob:
         self.last_update_ns = now_ns
 
 
+def reject_standalone_specs(plan: FaultPlan) -> None:
+    """Raise :class:`FaultError` naming a plan's first standalone spec.
+
+    A standalone spec (``server_id is None``) configures the
+    process-wide measure-path injector, which no fleet consults, so
+    accepting one would silently run fault-free.
+    """
+    for spec in plan.standalone_specs():
+        raise FaultError(
+            f"{spec.kind}: standalone fault spec (no server_id) cannot "
+            "run in a fleet; scope it with server_id"
+        )
+
+
 class FleetSimulation:
     """One policy's run over one trace."""
 
@@ -369,7 +366,6 @@ class FleetSimulation:
                 budget_w=config.fleet_power_budget_w,
                 n_servers=config.n_servers,
                 gain=config.cap_gain,
-                gains=config.cap_gains,
             )
             if config.fleet_power_budget_w is not None
             else None
@@ -413,7 +409,8 @@ class FleetSimulation:
         self._fallback_ns: Dict[Tuple[int, int], int] = {}
 
     def _validate_fault_plan(self) -> None:
-        """Reject plans naming servers the fleet does not have."""
+        """Reject standalone specs and servers the fleet does not have."""
+        reject_standalone_specs(self.fault_plan)
         for spec in self.fault_plan.server_scoped_specs():
             server_id = getattr(spec, "server_id", None)
             if server_id is not None and server_id >= self.config.n_servers:

@@ -43,9 +43,10 @@ quantization.  It runs *inside* each cell's event loop — coordinator
 decisions are ordinary events in the cell's log, so the sharded
 executor's ``(time_ns, cell_id, seq)`` merge keeps the fleet-wide event
 log (and its SHA-256) invariant across shard and worker counts.  For a
-multi-cell fleet the budget is decomposed across cells proportionally
-to their size at lowering time; each cell's coordinator then tracks its
-share independently.
+multi-cell fleet :func:`~repro.fleet.shard.build_cells` decomposes the
+budget across cells proportionally to their size, and again over the
+live servers at every crash and repair; each cell's coordinator then
+tracks its share independently.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ class PowerCapCoordinator:
         quantum_w: float = 1.0,
         floor_w: float = 50.0,
         ceiling_factor: float = 4.0,
-        gains: Optional[Sequence[float]] = None,
     ) -> None:
         """
         Parameters
@@ -110,13 +110,6 @@ class PowerCapCoordinator:
         ceiling_factor:
             Anti-windup: the fleet cap never exceeds
             ``ceiling_factor * budget_w``.
-        gains:
-            Optional per-server integral gains (server-group plant
-            response, e.g. aged silicon walks its DVFS table with less
-            authority).  Each tick integrates with the *mean gain of
-            the live servers*, so a crash that removes a whole group
-            retunes the loop to the survivors.  ``None`` uses ``gain``
-            for every server.
         """
         if budget_w <= 0:
             raise SchedulingError(f"budget_w must be positive, got {budget_w}")
@@ -130,22 +123,9 @@ class PowerCapCoordinator:
             raise SchedulingError("floor_w must be >= quantum_w")
         if ceiling_factor < 1:
             raise SchedulingError("ceiling_factor must be >= 1")
-        if gains is not None:
-            gains = tuple(float(g) for g in gains)
-            if len(gains) != n_servers:
-                raise SchedulingError(
-                    f"gains must have one entry per server "
-                    f"({n_servers}), got {len(gains)}"
-                )
-            for g in gains:
-                if not 0 < g <= 2:
-                    raise SchedulingError(
-                        f"per-server gains must be in (0, 2], got {g}"
-                    )
         self.budget_w = budget_w
         self.n_servers = n_servers
         self.gain = gain
-        self.gains = gains
         self.quantum_w = quantum_w
         self.floor_w = floor_w
         self.ceiling_factor = ceiling_factor
@@ -176,15 +156,6 @@ class PowerCapCoordinator:
         self.ceiling_w = self.ceiling_factor * budget_w
         self.fleet_cap_w = budget_w
 
-    def _effective_gain(self, live: Sequence[bool]) -> float:
-        """The loop gain for one tick: mean gain of the live servers."""
-        if self.gains is None:
-            return self.gain
-        live_gains = [g for g, alive in zip(self.gains, live) if alive]
-        if not live_gains:
-            return self.gain
-        return sum(live_gains) / len(live_gains)
-
     def tick(
         self,
         measured_w: Sequence[float],
@@ -196,8 +167,8 @@ class PowerCapCoordinator:
         order (0.0 for powered-off/crashed servers).  ``live`` marks
         which servers are actually in service (``None`` = all): dead
         servers are handed a 0 W cap instead of the uniform idle share,
-        and the clamp floor, uniform share and effective gain all scale
-        to the live population.  An all-live mask is byte-identical to
+        and the clamp floor and uniform share scale to the live
+        population.  An all-live mask is byte-identical to
         passing no mask at all, so fault-free runs are unchanged.
         """
         if len(measured_w) != self.n_servers:
@@ -238,7 +209,7 @@ class PowerCapCoordinator:
             self.ceiling_w,
             max(
                 floor_total,
-                self.fleet_cap_w + self._effective_gain(live_mask) * error,
+                self.fleet_cap_w + self.gain * error,
             ),
         )
         drawing = [

@@ -5,12 +5,13 @@ parallelism, but the event-log SHA-256 is the run's identity — it must
 not depend on how many processes happened to execute.  The decomposition
 therefore has two independent axes:
 
-* **cells** — the *semantic* unit.  The fleet is partitioned into fixed
-  cells of ``cell_servers`` servers; every job is routed to the cell
-  ``job_id % n_cells``.  Each cell runs a completely independent
-  :class:`~repro.fleet.engine.FleetSimulation` over its own sub-trace.
-  The cell layout is a pure function of ``(n_servers, cell_servers)`` —
-  it never changes with the process count.
+* **cells** — the *semantic* unit.  :func:`build_cells` cuts each
+  server group into fixed cells of ``cell_servers`` servers; every job
+  is routed to the cell ``job_id % n_cells``.  Each cell runs a
+  completely independent :class:`~repro.fleet.engine.FleetSimulation`
+  over its own sub-trace.  The cell list is a pure function of the
+  groups, the fault plan and the budget — it never changes with the
+  process count.
 * **shards** — the *execution* unit.  Cells are distributed over
   ``n_shards`` worker processes.  Because cells share nothing, any
   assignment of cells to shards computes bit-identical per-cell results;
@@ -23,7 +24,7 @@ stable k-way merge of already-ordered streams.  Per-cell server ids are
 remapped to global ids (cell offset + local id) *before* rendering, so
 the merged log reads as one coherent fleet.
 
-A single-cell layout (``cell_servers >= n_servers``) routes every job to
+A single cell (``cell_servers >= n_servers``) routes every job to
 cell 0, which simulates exactly :class:`FleetSimulation` over the full
 trace — so the sharded digest degenerates to the plain one.
 """
@@ -33,19 +34,26 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
+import itertools
 import json
 import multiprocessing
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import FaultError, SchedulingError
+from ..errors import SchedulingError
 from ..faults.plan import FaultPlan
-from ..faults.spec import CacheCorruptionFault, JobKillFault
+from ..faults.spec import (
+    CacheCorruptionFault,
+    FaultSpec,
+    JobKillFault,
+    ServerCrashFault,
+)
 from ..obs import observability
 from ..sim.batch import MAX_SHARD_RETRIES, SweepRunner, fan_out
 from ..sim.cache import canonical_json
-from .engine import FleetConfig, FleetSimulation
+from .engine import FleetConfig, FleetSimulation, reject_standalone_specs
 from .metrics import FleetComparison, FleetResult, JobRecord
 from .powercap import decompose_budget
 from .settle_cache import ensure_settle_cache_dir, fleet_settle_cache
@@ -58,120 +66,17 @@ from .scheduler import (
 from .traffic import generate_trace
 
 
-@dataclass(frozen=True)
-class CellLayout:
-    """The fixed cell partition of one fleet."""
-
-    n_servers: int
-    cell_servers: int
-
-    def __post_init__(self) -> None:
-        if self.n_servers < 1:
-            raise SchedulingError(
-                f"n_servers must be >= 1, got {self.n_servers}"
-            )
-        if self.cell_servers < 1:
-            raise SchedulingError(
-                f"cell_servers must be >= 1, got {self.cell_servers}"
-            )
-
-    @property
-    def n_cells(self) -> int:
-        """Number of cells (the last one may be smaller)."""
-        return -(-self.n_servers // self.cell_servers)
-
-    def cell_of_job(self, job_id: int) -> int:
-        """The cell a job is routed to."""
-        return job_id % self.n_cells
-
-    def cell_of_server(self, server_id: int) -> int:
-        """The cell owning a global server id."""
-        if not 0 <= server_id < self.n_servers:
-            raise SchedulingError(
-                f"server_id must be in [0, {self.n_servers}), got {server_id}"
-            )
-        return server_id // self.cell_servers
-
-    def offset(self, cell_id: int) -> int:
-        """Global id of a cell's first server."""
-        return cell_id * self.cell_servers
-
-    def size(self, cell_id: int) -> int:
-        """Number of servers in one cell."""
-        if not 0 <= cell_id < self.n_cells:
-            raise SchedulingError(
-                f"cell_id must be in [0, {self.n_cells}), got {cell_id}"
-            )
-        return (
-            min(self.n_servers, self.offset(cell_id) + self.cell_servers)
-            - self.offset(cell_id)
-        )
-
-
-def _split_fault_plan(
-    plan: FaultPlan, layout: CellLayout
-) -> Dict[int, FaultPlan]:
-    """Route a fault plan's specs to the cells that own their targets.
-
-    Standalone specs (``server_id is None`` socket faults) configure the
-    *process-wide* injector; under a multi-cell layout they would apply
-    to every cell at once — silently different semantics from the
-    unsharded run — so they are rejected outright.
-    """
-    if layout.n_cells == 1:
-        return {0: plan}
-    if plan.standalone_specs():
-        raise FaultError(
-            "standalone (non-server-scoped) fault specs cannot run under "
-            "a multi-cell sharded fleet; scope each spec with server_id "
-            "or run unsharded"
-        )
-    per_cell: Dict[int, List] = {}
-    for spec in plan.specs:
-        if isinstance(spec, CacheCorruptionFault):
-            # Settle-cache tearing is a process-wide condition, not a
-            # server's: every cell (hence every worker process) arms its
-            # own cache.  Corruption only forces recomputation, so the
-            # merged digest stays invariant regardless of which worker
-            # tears which write.
-            for cell_id in range(layout.n_cells):
-                per_cell.setdefault(cell_id, []).append(spec)
-            continue
-        if isinstance(spec, JobKillFault):
-            cell_id = layout.cell_of_job(spec.job_id)
-            local = spec
-        else:
-            server_id = getattr(spec, "server_id", None)
-            if server_id is None:
-                raise FaultError(
-                    f"{spec.kind}: spec has no server scope; cannot route "
-                    "to a cell"
-                )
-            cell_id = layout.cell_of_server(server_id)
-            local = dataclasses.replace(
-                spec, server_id=server_id - layout.offset(cell_id)
-            )
-        per_cell.setdefault(cell_id, []).append(local)
-    return {
-        cell_id: FaultPlan(specs=tuple(specs), seed=plan.seed)
-        for cell_id, specs in per_cell.items()
-    }
-
-
 # ----------------------------------------------------------------------
-# Per-cell execution (runs in worker processes)
+# Cell assembly
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CellSpec:
     """One independently simulated cell of a (possibly mixed) fleet.
 
-    The homogeneous sharded fleet derives its cells from a
-    :class:`CellLayout`; the scenario runner builds them directly, which
-    is what lets server *groups* carry different configurations (aged
-    silicon, distinct die seeds, different sizes) inside one merged run.
-    Jobs route to the cell whose ``index`` equals ``job_id % n_cells`` —
-    the same modular routing the layout uses, so a layout-derived spec
-    list reproduces the layout semantics exactly.
+    :func:`build_cells` cuts them from server *groups*, which is what
+    lets groups carry different configurations (aged silicon, distinct
+    die seeds, different sizes) inside one merged run.  Jobs route to
+    the cell whose ``index`` equals ``job_id % n_cells``.
     """
 
     #: Global cell index — the routing key.
@@ -200,6 +105,134 @@ class CellSpec:
             )
 
 
+#: One server group handed to :func:`build_cells`: its template config
+#: (``n_servers`` is the group size), its cell width (``None``: the
+#: whole group is one cell) and its label.
+CellGroup = Tuple[FleetConfig, Optional[int], str]
+
+
+def build_cells(
+    groups: Sequence[CellGroup],
+    fault_plan: Optional[FaultPlan] = None,
+    budget_w: Optional[float] = None,
+) -> Tuple[CellSpec, ...]:
+    """Cut server groups into cells; route faults and budget shares.
+
+    Groups occupy consecutive global server ids in order.  Each group is
+    partitioned into cells of its fixed width (only the last cell may be
+    narrower), and cells are indexed globally in the same order.
+
+    ``fault_plan`` uses global server ids.  A spec with a ``server_id``
+    goes to the cell owning that server, rebased to a cell-local id; a
+    job kill goes to cell ``job_id % n_cells``, like the job itself; a
+    :class:`~repro.faults.spec.CacheCorruptionFault` goes to every cell,
+    because each cell (hence each worker process) arms its own settle
+    cache — tearing only forces recomputation, so the digest holds.
+    Each cell keeps its specs in plan order.  Standalone specs
+    (``server_id is None``) configure the process-wide measure-path
+    injector, which no fleet cell runs, so they are rejected.
+
+    ``budget_w`` (``None``: no fleet budget) is split over the cells
+    proportionally to size.  A crashed server draws nothing, so at
+    every crash and repair the budget is split again over the live
+    server counts and each cell gets its share as a ``(time, budget)``
+    schedule its coordinator applies at tick boundaries — statically,
+    with no cross-cell communication, so the merged digest stays
+    invariant across shard counts.  A cell momentarily holding no live
+    server keeps its previous budget.  Without crashes a cell keeps its
+    template's own ``fleet_power_budget_schedule``.
+    """
+    if not groups:
+        raise SchedulingError("build_cells needs at least one group")
+    spans: List[Tuple[FleetConfig, str, int, int]] = []
+    first_server = 0
+    for config, cell_servers, label in groups:
+        width = config.n_servers if cell_servers is None else cell_servers
+        if width < 1:
+            raise SchedulingError(f"cell_servers must be >= 1, got {width}")
+        for first in range(0, config.n_servers, width):
+            spans.append(
+                (
+                    config,
+                    label,
+                    first_server + first,
+                    min(width, config.n_servers - first),
+                )
+            )
+        first_server += config.n_servers
+    n_cells = len(spans)
+    offsets = [offset for _, _, offset, _ in spans]
+    sizes = [size for _, _, _, size in spans]
+    plan = fault_plan if fault_plan is not None else FaultPlan()
+    reject_standalone_specs(plan)
+    per_cell: List[List[FaultSpec]] = [[] for _ in spans]
+    # ``(time_seconds, cell, live-server delta)`` per crash and repair.
+    membership: List[Tuple[float, int, int]] = []
+    for spec in plan.specs:
+        if isinstance(spec, CacheCorruptionFault):
+            for specs in per_cell:
+                specs.append(spec)
+            continue
+        if isinstance(spec, JobKillFault):
+            per_cell[spec.job_id % n_cells].append(spec)
+            continue
+        server_id = spec.server_id
+        if not 0 <= server_id < first_server:
+            raise SchedulingError(
+                f"{spec.kind}: server_id must be in [0, {first_server}), "
+                f"got {server_id}"
+            )
+        cell = bisect_right(offsets, server_id) - 1
+        per_cell[cell].append(
+            dataclasses.replace(spec, server_id=server_id - offsets[cell])
+        )
+        if isinstance(spec, ServerCrashFault):
+            membership.append((spec.start_seconds, cell, -1))
+            if spec.repair_seconds is not None:
+                membership.append(
+                    (spec.start_seconds + spec.repair_seconds, cell, +1)
+                )
+    schedules: Dict[int, List[Tuple[float, float]]] = {}
+    if budget_w is not None:
+        live = list(sizes)
+        for at_seconds, changes in itertools.groupby(
+            sorted(membership), key=lambda change: change[0]
+        ):
+            for _, cell, delta in changes:
+                live[cell] += delta
+            alive = [max(0, n) for n in live]
+            if sum(alive) <= 0:
+                continue
+            for cell, share in enumerate(decompose_budget(budget_w, alive)):
+                if share > 0:
+                    schedules.setdefault(cell, []).append((at_seconds, share))
+    shares = decompose_budget(budget_w, sizes)
+    return tuple(
+        CellSpec(
+            index=index,
+            offset=offset,
+            config=dataclasses.replace(
+                config,
+                n_servers=size,
+                fleet_power_budget_w=shares[index],
+                fleet_power_budget_schedule=schedules.get(
+                    index, config.fleet_power_budget_schedule
+                ),
+            ),
+            fault_plan=(
+                FaultPlan(specs=tuple(per_cell[index]), seed=plan.seed)
+                if per_cell[index]
+                else None
+            ),
+            label=label,
+        )
+        for index, (config, label, offset, size) in enumerate(spans)
+    )
+
+
+# ----------------------------------------------------------------------
+# Per-cell execution (runs in worker processes)
+# ----------------------------------------------------------------------
 def _simulate_cell(
     cell: CellSpec,
     policy: FleetPolicy,
@@ -567,43 +600,20 @@ def run_sharded(
         produces the identical merged log and SHA-256.
     cell_servers:
         Cell width in servers.  ``None`` puts the whole fleet in one
-        cell (the plain, unsharded semantics).  The cell layout — not
+        cell (the plain, unsharded semantics).  The cell partition — not
         the shard count — defines the run's scheduling topology, so it
-        is part of the run's identity.
+        is part of the run's identity.  Faults and any fleet budget are
+        routed to the cells by :func:`build_cells`.
     workers:
         Sweep-runner pool width *inside* each shard.
     keep_events:
         Retain the merged event stream on the result (see
         :func:`merge_cell_results`).
     """
-    layout = CellLayout(
-        n_servers=config.n_servers,
-        cell_servers=(
-            config.n_servers if cell_servers is None else cell_servers
-        ),
-    )
-    plans = _split_fault_plan(
-        fault_plan if fault_plan is not None else FaultPlan(), layout
-    )
-    # Any fleet power budget is decomposed proportionally to cell size;
-    # each cell's coordinator then tracks its share independently, so
-    # the merged log is invariant across shard/worker counts.
-    budget_shares = decompose_budget(
+    cells = build_cells(
+        [(config, cell_servers, "")],
+        fault_plan,
         config.fleet_power_budget_w,
-        [layout.size(cell_id) for cell_id in range(layout.n_cells)],
-    )
-    cells = tuple(
-        CellSpec(
-            index=cell_id,
-            offset=layout.offset(cell_id),
-            config=dataclasses.replace(
-                config,
-                n_servers=layout.size(cell_id),
-                fleet_power_budget_w=budget_shares[cell_id],
-            ),
-            fault_plan=plans.get(cell_id),
-        )
-        for cell_id in range(layout.n_cells)
     )
     return run_cell_specs(
         cells, policy, n_shards=n_shards, workers=workers,
@@ -616,7 +626,6 @@ def run_comparison(
     n_shards: int = 1,
     cell_servers: Optional[int] = None,
     advisor_gate: bool = True,
-    workers: int = 1,
     keep_events: bool = True,
 ) -> FleetComparison:
     """AGS vs. static guardband vs. consolidation over one fleet day.
@@ -633,7 +642,6 @@ def run_comparison(
             policy,
             n_shards=n_shards,
             cell_servers=cell_servers,
-            workers=workers,
             keep_events=keep_events,
         )
         for policy in (ags_policy, CONSOLIDATION_POLICY)

@@ -103,8 +103,8 @@ class ServerGroupSpec:
 
     #: Per-group power-cap loop gain (``None``: the policy's
     #: ``power_cap_gain``).  Models the group's plant response to a cap
-    #: step; service age further attenuates the effective gain at
-    #: lowering time (see :func:`repro.scenarios.runner.lower_scenario`).
+    #: step; service age further attenuates it at lowering time (see
+    #: :func:`repro.scenarios.runner.lower_scenario`).
     cap_gain: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -130,21 +130,6 @@ class ServerGroupSpec:
                 0 < self.cap_gain <= 2,
                 f"group {self.name!r}: cap_gain must be in (0, 2]",
             )
-
-    @property
-    def cell_spans(self) -> Tuple[Tuple[int, int], ...]:
-        """``(first server, servers)`` of each cell this group lowers
-        onto, in order; only the last cell may be narrower."""
-        width = self.cell_servers or self.servers
-        return tuple(
-            (first, min(width, self.servers - first))
-            for first in range(0, self.servers, width)
-        )
-
-    @property
-    def n_cells(self) -> int:
-        """Cells this group lowers onto."""
-        return len(self.cell_spans)
 
 
 @dataclass(frozen=True)
@@ -182,11 +167,6 @@ class TopologySpec:
     def n_servers(self) -> int:
         """Total fleet size."""
         return sum(group.servers for group in self.groups)
-
-    @property
-    def n_cells(self) -> int:
-        """Total scheduling cells the topology lowers onto."""
-        return sum(group.n_cells for group in self.groups)
 
     def group(self, name: str) -> ServerGroupSpec:
         """The group called ``name``."""

@@ -4,24 +4,26 @@ A :class:`~repro.scenarios.model.Scenario` runs by compilation, not
 interpretation: :func:`lower_scenario` turns the declarative topology
 into the cell list the sharded executor already understands —
 
-* each server *group* becomes one or more :class:`~repro.fleet.shard.CellSpec`
-  cells whose :class:`~repro.fleet.engine.FleetConfig` carries the
-  group's **aged** server config (via
+* each server *group* becomes one :class:`~repro.fleet.engine.FleetConfig`
+  carrying the group's **aged** server config (via
   :func:`repro.chip.aging.aged_server_config`) and a **per-group die
   seed** (``derive_seed(seed, {"stream": "scenario-die", "group": name})``),
   so generations age and vary independently while sharing one job
   stream;
-* each declarative fault window lowers onto concrete
-  :class:`~repro.faults.spec.FaultSpec` objects with *cell-local* server
-  ids, fanned out per server when ``all_servers`` is set;
+* the declarative fault windows lower onto one
+  :class:`~repro.faults.plan.FaultPlan` with *global* server ids, fanned
+  out per server when ``all_servers`` is set;
+* :func:`~repro.fleet.shard.build_cells` — the same cell assembly a
+  homogeneous sharded fleet uses — cuts the groups into cells and
+  routes the faults and the fleet budget to them;
 * the shared arrival trace is seeded by the scenario seed itself, so the
   traffic never couples to any group's silicon.
 
 Because the lowered cells run through
 :func:`~repro.fleet.shard.run_cell_specs`, the merged event log — and
 its SHA-256, the run's identity — is bit-identical across ``--shards``
-and ``--workers`` counts by construction, which is what lets catalog
-goldens pin exact hashes.
+counts by construction, which is what lets catalog goldens pin exact
+hashes.
 """
 
 from __future__ import annotations
@@ -34,32 +36,19 @@ from ..chip.aging import AgingModel, aged_server_config
 from ..config import ServerConfig
 from ..errors import ScenarioError
 from ..faults.plan import FaultPlan
-from ..faults.spec import FaultSpec, ServerCrashFault
+from ..faults.spec import FaultSpec
 from ..fleet.engine import FleetConfig
 from ..fleet.metrics import FleetResult
-from ..fleet.powercap import decompose_budget
 from ..fleet.scheduler import POLICIES, FleetPolicy
 from ..fleet.shard import (
     CellSpec,
     ShardedOutcome,
     ShardRetry,
+    build_cells,
     run_cell_specs,
 )
 from ..sim.batch import derive_seed
 from .model import Scenario, ServerGroupSpec
-
-
-@dataclass(frozen=True)
-class GroupCells:
-    """Where one topology group landed in the lowered cell list."""
-
-    group: ServerGroupSpec
-
-    #: Cell indices (into the lowered cell list) this group occupies.
-    cell_indices: Tuple[int, ...]
-
-    #: Global server id of the group's first server.
-    server_offset: int
 
 
 @dataclass(frozen=True)
@@ -69,7 +58,6 @@ class LoweredScenario:
     scenario: Scenario
     cells: Tuple[CellSpec, ...]
     policy: FleetPolicy
-    groups: Tuple[GroupCells, ...]
 
     #: Seed of the shared arrival trace.
     trace_seed: int
@@ -120,16 +108,19 @@ def _group_cap_gain(scenario: Scenario, group: ServerGroupSpec) -> float:
     return max(0.05, base * attenuation)
 
 
-def _lower_fault_windows(
-    scenario: Scenario,
-) -> Tuple[Dict[str, List[FaultSpec]], List[FaultSpec]]:
-    """Fault windows → per-group specs with *group-local* server ids.
+def _lower_fault_plan(scenario: Scenario) -> FaultPlan:
+    """Fault windows → one plan with *global* server ids.
 
-    Job kills carry no server target, so they are returned separately
-    and routed later by job id (the cell the job lands in is a property
-    of the lowered cell list, not of the group).
+    Server-scoped specs come first, in window order, and job kills
+    last: :func:`~repro.fleet.shard.build_cells` keeps plan order within
+    each cell, so a cell sees its own server faults before any kill.
     """
-    per_group: Dict[str, List[FaultSpec]] = {}
+    first_server: Dict[str, int] = {}
+    offset = 0
+    for group in scenario.topology.groups:
+        first_server[group.name] = offset
+        offset += group.servers
+    server_specs: List[FaultSpec] = []
     job_kills: List[FaultSpec] = []
     for window in scenario.faults.windows:
         if window.kind == "job_kill":
@@ -144,74 +135,13 @@ def _lower_fault_windows(
             targets = range(group.servers)
         else:
             targets = [window.server if window.server is not None else 0]
-        for server in targets:
-            per_group.setdefault(group.name, []).append(window.fault(server))
-    return per_group, job_kills
-
-
-def _budget_schedules(
-    scenario: Scenario,
-    per_group_faults: Dict[str, List[FaultSpec]],
-    cell_sizes: List[int],
-) -> Dict[int, Tuple[Tuple[float, float], ...]]:
-    """Compile crash/repair windows into per-cell budget schedules.
-
-    A crashed server draws nothing, so leaving the fleet budget's cell
-    decomposition fixed would strand the dead cell's watts while its
-    survivors throttle.  The crash windows are known declaratively, so
-    the re-decomposition is computed *statically*: at every membership
-    change the fleet budget is re-split over the live server counts, and
-    each cell gets its share as a ``(time, budget)`` schedule applied at
-    tick boundaries.  No cross-cell runtime communication — the sharded
-    digest stays invariant.  Cells momentarily holding zero live servers
-    keep their previous budget (their live mask hands out nothing).
-    """
-    budget = scenario.policy.fleet_power_budget_w
-    if budget is None:
-        return {}
-    # Pre-pass mirroring the cell construction order, mapping each
-    # group-local crash spec onto the cell that owns its server.
-    events: List[Tuple[float, int, int]] = []
-    cell_cursor = 0
-    for group in scenario.topology.groups:
-        specs = per_group_faults.get(group.name, [])
-        for local_offset, size in group.cell_spans:
-            for spec in specs:
-                if not isinstance(spec, ServerCrashFault):
-                    continue
-                if not local_offset <= spec.server_id < local_offset + size:
-                    continue
-                events.append((spec.start_seconds, cell_cursor, -1))
-                if spec.repair_seconds is not None:
-                    events.append(
-                        (
-                            spec.start_seconds + spec.repair_seconds,
-                            cell_cursor,
-                            +1,
-                        )
-                    )
-            cell_cursor += 1
-    if not events:
-        return {}
-    live = list(cell_sizes)
-    schedules: Dict[int, List[Tuple[float, float]]] = {}
-    for at_seconds in sorted({t for t, _, _ in events}):
-        for t, cell_index, delta in events:
-            if t == at_seconds:
-                live[cell_index] += delta
-        alive = [max(0, n) for n in live]
-        if sum(alive) <= 0:
-            continue
-        shares = decompose_budget(budget, alive)
-        for cell_index, share in enumerate(shares):
-            if share is not None and share > 0:
-                schedules.setdefault(cell_index, []).append(
-                    (at_seconds, share)
-                )
-    return {
-        cell_index: tuple(entries)
-        for cell_index, entries in schedules.items()
-    }
+        server_specs.extend(
+            window.fault(first_server[group.name] + server)
+            for server in targets
+        )
+    return FaultPlan(
+        specs=tuple(server_specs + job_kills), seed=scenario.faults.seed
+    )
 
 
 def lower_scenario(
@@ -229,109 +159,34 @@ def lower_scenario(
         if effective_seed == scenario.seed
         else dataclasses.replace(scenario, seed=effective_seed)
     )
-    policy = POLICIES[effective.policy.policy]
-    per_group_faults, job_kills = _lower_fault_windows(effective)
-
-    cells: List[CellSpec] = []
-    groups: List[GroupCells] = []
-    n_cells_total = effective.topology.n_cells
-    # A fleet power budget decomposes across every cell of the topology
-    # proportionally to cell size, mirroring run_sharded — each cell's
-    # coordinator tracks its share independently, so the event log stays
-    # invariant across shard/worker counts.
-    cell_sizes = [
-        size
-        for group in effective.topology.groups
-        for _, size in group.cell_spans
-    ]
-    budget_shares = decompose_budget(
-        effective.policy.fleet_power_budget_w, cell_sizes
-    )
-    budget_schedules = _budget_schedules(
-        effective, per_group_faults, cell_sizes
-    )
-    server_offset = 0
-    for group in effective.topology.groups:
-        server_config = _group_server_config(effective, group)
-        die_seed = _group_die_seed(effective, group)
-        group_gain = _group_cap_gain(effective, group)
-        group_fault_specs = per_group_faults.get(group.name, [])
-        indices: List[int] = []
-        for local_offset, size in group.cell_spans:
-            cell_index = len(cells)
-            config = FleetConfig(
-                server_config=server_config,
-                n_servers=size,
+    policy = effective.policy
+    groups = [
+        (
+            FleetConfig(
+                server_config=_group_server_config(effective, group),
+                n_servers=group.servers,
                 traffic=effective.traffic,
-                seed=die_seed,
-                qos_frequency_fraction=(
-                    effective.policy.qos_frequency_fraction
-                ),
+                seed=_group_die_seed(effective, group),
+                qos_frequency_fraction=policy.qos_frequency_fraction,
                 power_off_hysteresis_seconds=(
-                    effective.policy.power_off_hysteresis_seconds
+                    policy.power_off_hysteresis_seconds
                 ),
-                utilization_threshold=(
-                    effective.policy.utilization_threshold
-                ),
-                power_cap_w=effective.policy.server_power_cap_w,
-                fleet_power_budget_w=budget_shares[cell_index],
-                cap_interval_seconds=(
-                    effective.policy.power_cap_interval_seconds
-                ),
-                cap_gain=group_gain,
-                cap_gains=(
-                    (group_gain,) * size
-                    if effective.policy.fleet_power_budget_w is not None
-                    else None
-                ),
-                fleet_power_budget_schedule=budget_schedules.get(
-                    cell_index, ()
-                ),
-            )
-            # Specs whose group-local server id falls inside this cell,
-            # rebased to cell-local ids.
-            cell_specs = tuple(
-                dataclasses.replace(
-                    spec, server_id=spec.server_id - local_offset
-                )
-                for spec in group_fault_specs
-                if local_offset <= spec.server_id < local_offset + size
-            )
-            # Job kills route by modular cell index, like the jobs.
-            cell_specs += tuple(
-                kill
-                for kill in job_kills
-                if kill.job_id % n_cells_total == cell_index
-            )
-            cells.append(
-                CellSpec(
-                    index=cell_index,
-                    offset=server_offset + local_offset,
-                    config=config,
-                    fault_plan=(
-                        FaultPlan(
-                            specs=cell_specs, seed=effective.faults.seed
-                        )
-                        if cell_specs
-                        else None
-                    ),
-                    label=group.name,
-                )
-            )
-            indices.append(cell_index)
-        groups.append(
-            GroupCells(
-                group=group,
-                cell_indices=tuple(indices),
-                server_offset=server_offset,
-            )
+                utilization_threshold=policy.utilization_threshold,
+                power_cap_w=policy.server_power_cap_w,
+                cap_interval_seconds=policy.power_cap_interval_seconds,
+                cap_gain=_group_cap_gain(effective, group),
+            ),
+            group.cell_servers,
+            group.name,
         )
-        server_offset += group.servers
+        for group in effective.topology.groups
+    ]
     return LoweredScenario(
         scenario=effective,
-        cells=tuple(cells),
-        policy=policy,
-        groups=tuple(groups),
+        cells=build_cells(
+            groups, _lower_fault_plan(effective), policy.fleet_power_budget_w
+        ),
+        policy=POLICIES[policy.policy],
         trace_seed=effective.seed,
     )
 
@@ -401,7 +256,11 @@ def run_scenario(
     workers: int = 1,
     keep_events: bool = True,
 ) -> ScenarioResult:
-    """Run one scenario end to end."""
+    """Run one scenario end to end.
+
+    ``workers`` is the sweep-runner pool width inside each shard; fleet
+    settles are one-task batches, so it never changes the run.
+    """
     lowered = lower_scenario(scenario, seed=seed)
     outcome = run_cell_specs(
         lowered.cells,
@@ -418,15 +277,17 @@ def _summarize(
     lowered: LoweredScenario, outcome: ShardedOutcome
 ) -> ScenarioResult:
     groups: List[GroupSummary] = []
-    for placement in lowered.groups:
+    for group in lowered.scenario.topology.groups:
         cell_results = [
-            outcome.by_cell[index] for index in placement.cell_indices
+            outcome.by_cell[cell.index]
+            for cell in lowered.cells
+            if cell.label == group.name
         ]
         groups.append(
             GroupSummary(
-                name=placement.group.name,
-                servers=placement.group.servers,
-                age_years=placement.group.age_years,
+                name=group.name,
+                servers=group.servers,
+                age_years=group.age_years,
                 adaptive_energy_kwh=sum(
                     r.adaptive_energy_kwh for r in cell_results
                 ),
@@ -529,9 +390,7 @@ def check_result(result: ScenarioResult) -> GoldenVerdict:
     )
 
 
-def check_scenario(
-    scenario: Scenario, n_shards: int = 1, workers: int = 1
-) -> GoldenVerdict:
+def check_scenario(scenario: Scenario, n_shards: int = 1) -> GoldenVerdict:
     """Run a scenario under its own pinned seed and adjudicate goldens.
 
     Raises :class:`ScenarioError` when the scenario carries no golden
@@ -541,7 +400,4 @@ def check_scenario(
         raise ScenarioError(
             f"scenario {scenario.name!r} has no [golden] block to check"
         )
-    result = run_scenario(
-        scenario, n_shards=n_shards, workers=workers, keep_events=True
-    )
-    return check_result(result)
+    return check_result(run_scenario(scenario, n_shards=n_shards))

@@ -35,16 +35,17 @@ class TestParser:
         assert args.lc_fraction == 0.15
         assert args.no_advisor_gate is False
         assert args.trace_out is None
-        # The shared runner options ride along.
-        assert args.workers == 1
+        # The settle-cache options ride along.
         assert args.cache_dir is None
         assert args.timings is False
 
-    def test_fleet_parses_bad_workers_for_post_validation(self):
+    def test_sweep_parses_bad_workers_for_post_validation(self):
         # Out-of-range numerics parse cleanly (type=int) and are rejected
         # post-parse by validate_numeric_args with a ConfigError — not by
         # argparse's exit-2 usage dump.
-        args = build_parser().parse_args(["fleet", "--workers", "0"])
+        args = build_parser().parse_args(
+            ["sweep", "raytrace", "--workers", "0"]
+        )
         assert args.workers == 0
 
 
@@ -56,7 +57,7 @@ class TestNumericValidation:
         [
             ["fleet", "--servers", "0"],
             ["fleet", "--servers", "-3"],
-            ["fleet", "--workers", "0"],
+            ["figure", "fig3", "--workers", "0"],
             ["fleet", "--duration", "-5"],
             ["fleet", "--duration", "0"],
             ["fleet", "--duration", "nan"],
@@ -127,20 +128,20 @@ class TestNumericValidation:
     )
     def test_runner_options_on_the_commands_that_read_them(self, argv):
         args = build_parser().parse_args(
-            argv + ["--workers", "2", "--cache-dir", "cache", "--timings"]
+            argv + ["--cache-dir", "cache", "--timings"]
         )
-        assert args.workers == 2
         assert args.cache_dir == "cache"
         assert args.timings is True
 
-    def test_scenario_takes_only_workers(self):
-        args = build_parser().parse_args(
-            ["scenario", "check", "--workers", "2"]
-        )
-        assert args.workers == 2
-        for option in (["--cache-dir", "cache"], ["--timings"]):
+    def test_workers_only_on_sweep_and_figure(self):
+        # Fleet settles are one-task batches that never reach a pool, so
+        # the fleet-running commands do not take --workers.
+        for argv in (["sweep", "raytrace"], ["figure", "fig3"]):
+            args = build_parser().parse_args(argv + ["--workers", "2"])
+            assert args.workers == 2
+        for argv in (["fleet"], ["chaos"], ["chaos", "campaign"]):
             with pytest.raises(SystemExit) as exc:
-                build_parser().parse_args(["scenario", "check", *option])
+                build_parser().parse_args(argv + ["--workers", "2"])
             assert exc.value.code == 2
 
     @pytest.mark.parametrize(
@@ -153,6 +154,7 @@ class TestNumericValidation:
             ["report"],
             ["export", "fig3"],
             ["metrics", "m.json"],
+            ["scenario", "check"],
         ],
     )
     @pytest.mark.parametrize(
@@ -240,6 +242,21 @@ class TestCommands:
 
         kinds = {json.loads(line)["kind"] for line in lines}
         assert {"arrival", "start", "epoch"} <= kinds
+
+    @pytest.mark.parametrize(
+        "servers, cell_servers, line",
+        [
+            ("2", "100", "1 cell(s) x 2 server(s) over 1 shard(s)"),
+            ("3", "2", "2 cell(s) x 2 server(s) (last 1) over 1 shard(s)"),
+        ],
+    )
+    def test_fleet_cell_line_shows_the_real_widths(
+        self, servers, cell_servers, line, capsys
+    ):
+        argv = ["fleet", "--servers", servers, "--duration", "1800",
+                "--cell-servers", cell_servers]
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out.splitlines()[0]
 
     def test_fleet_is_deterministic_across_invocations(self, capsys):
         hashes = []

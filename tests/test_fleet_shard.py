@@ -1,7 +1,7 @@
-"""Sharded fleet execution: cell layout, fault routing, digest identity.
+"""Sharded fleet execution: cell assembly, fault routing, digest identity.
 
 The load-bearing property: the merged event-log SHA-256 depends only on
-the *cell layout*, never on how many shard processes (or sweep workers)
+the *cell partition*, never on how many shard processes (or sweep workers)
 executed it.  These tests run the same day under every shard/worker
 combination and assert one digest.
 """
@@ -9,19 +9,24 @@ combination and assert one digest.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FaultError, SchedulingError
 from repro.faults.plan import FaultPlan
-from repro.faults.spec import CpmStuckFault, JobKillFault, ServerCrashFault
+from repro.faults.spec import (
+    CacheCorruptionFault,
+    CpmStuckFault,
+    JobKillFault,
+    ServerCrashFault,
+)
 from repro.fleet import FleetConfig, TrafficConfig
 from repro.fleet.engine import FleetSimulation
 from repro.fleet.scheduler import AGS_POLICY
 from repro.fleet.shard import (
     ENV_SHARD_FAULT,
     MAX_SHARD_RETRIES,
-    CellLayout,
-    CellSpec,
-    _split_fault_plan,
+    build_cells,
     run_cell_specs,
     run_sharded,
 )
@@ -42,46 +47,71 @@ def config():
     )
 
 
+def _cut(n_servers, cell_servers, plan=None):
+    """The homogeneous cells ``run_sharded`` builds for one fleet."""
+    return build_cells(
+        [(FleetConfig(n_servers=n_servers), cell_servers, "")], plan
+    )
+
+
 class TestCellLayout:
+    """The fixed partition :func:`build_cells` cuts."""
+
     def test_even_partition(self):
-        layout = CellLayout(n_servers=8, cell_servers=2)
-        assert layout.n_cells == 4
-        assert [layout.size(c) for c in range(4)] == [2, 2, 2, 2]
-        assert [layout.offset(c) for c in range(4)] == [0, 2, 4, 6]
+        cells = _cut(8, 2)
+        assert [c.index for c in cells] == [0, 1, 2, 3]
+        assert [c.config.n_servers for c in cells] == [2, 2, 2, 2]
+        assert [c.offset for c in cells] == [0, 2, 4, 6]
 
     def test_ragged_tail_cell(self):
-        layout = CellLayout(n_servers=10, cell_servers=4)
-        assert layout.n_cells == 3
-        assert [layout.size(c) for c in range(3)] == [4, 4, 2]
+        cells = _cut(10, 4)
+        assert [c.config.n_servers for c in cells] == [4, 4, 2]
 
     def test_single_cell_when_wider_than_fleet(self):
-        layout = CellLayout(n_servers=4, cell_servers=100)
-        assert layout.n_cells == 1
-        assert layout.size(0) == 4
+        (cell,) = _cut(4, 100)
+        assert cell.config.n_servers == 4
+        (whole,) = _cut(4, None)
+        assert whole == cell
 
     def test_job_routing_covers_every_cell(self):
-        layout = CellLayout(n_servers=8, cell_servers=2)
-        routed = {layout.cell_of_job(j) for j in range(100)}
-        assert routed == {0, 1, 2, 3}
+        plan = FaultPlan(
+            specs=tuple(
+                JobKillFault(start_seconds=1.0, job_id=j) for j in range(8)
+            )
+        )
+        cells = _cut(8, 2, plan)
+        for cell in cells:
+            assert [s.job_id % 4 for s in cell.fault_plan.specs] == [
+                cell.index
+            ] * 2
 
     def test_server_routing(self):
-        layout = CellLayout(n_servers=10, cell_servers=4)
-        assert layout.cell_of_server(0) == 0
-        assert layout.cell_of_server(7) == 1
-        assert layout.cell_of_server(9) == 2
+        plan = FaultPlan(
+            specs=tuple(
+                ServerCrashFault(start_seconds=1.0, server_id=server)
+                for server in (0, 7, 9)
+            )
+        )
+        cells = _cut(10, 4, plan)
+        assert [
+            [s.server_id for s in c.fault_plan.specs] for c in cells
+        ] == [[0], [3], [1]]
+        out_of_range = FaultPlan(
+            specs=(ServerCrashFault(start_seconds=1.0, server_id=10),)
+        )
         with pytest.raises(SchedulingError):
-            layout.cell_of_server(10)
+            _cut(10, 4, out_of_range)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(SchedulingError):
-            CellLayout(n_servers=0, cell_servers=1)
+            _cut(0, 1)
         with pytest.raises(SchedulingError):
-            CellLayout(n_servers=4, cell_servers=0)
+            _cut(4, 0)
+        with pytest.raises(SchedulingError):
+            build_cells([])
 
 
 class TestFaultRouting:
-    LAYOUT = CellLayout(n_servers=8, cell_servers=2)
-
     def test_crash_spec_remaps_to_cell_local_id(self):
         plan = FaultPlan(
             specs=(
@@ -90,16 +120,16 @@ class TestFaultRouting:
                 ),
             )
         )
-        routed = _split_fault_plan(plan, self.LAYOUT)
-        assert set(routed) == {2}
-        spec = routed[2].specs[0]
+        cells = _cut(8, 2, plan)
+        assert [c.index for c in cells if c.fault_plan] == [2]
+        spec = cells[2].fault_plan.specs[0]
         assert spec.server_id == 1  # global 5 → cell 2, local 1
         assert spec.repair_seconds == 60.0
 
     def test_job_kill_routes_by_job_id(self):
         plan = FaultPlan(specs=(JobKillFault(start_seconds=5.0, job_id=7),))
-        routed = _split_fault_plan(plan, self.LAYOUT)
-        assert set(routed) == {7 % self.LAYOUT.n_cells}
+        cells = _cut(8, 2, plan)
+        assert [c.index for c in cells if c.fault_plan] == [7 % 4]
 
     def test_socket_fault_remaps_server_keeps_socket(self):
         plan = FaultPlan(
@@ -112,24 +142,172 @@ class TestFaultRouting:
                 ),
             )
         )
-        routed = _split_fault_plan(plan, self.LAYOUT)
-        spec = routed[3].specs[0]
+        spec = _cut(8, 2, plan)[3].fault_plan.specs[0]
         assert spec.server_id == 0
         assert spec.socket_id == 1
+
+    def test_cache_corruption_reaches_every_cell(self):
+        tear = CacheCorruptionFault(start_seconds=0.0, every_n=3)
+        cells = _cut(8, 2, FaultPlan(specs=(tear,), seed=4))
+        assert all(c.fault_plan == FaultPlan((tear,), 4) for c in cells)
 
     def test_standalone_specs_are_rejected_under_sharding(self):
         plan = FaultPlan(
             specs=(CpmStuckFault(start_seconds=1.0, server_id=None),)
         )
-        with pytest.raises(FaultError, match="standalone"):
-            _split_fault_plan(plan, self.LAYOUT)
+        with pytest.raises(FaultError, match="cpm_stuck: standalone"):
+            _cut(8, 2, plan)
 
     def test_single_cell_passes_the_plan_through_untouched(self):
         plan = FaultPlan(
-            specs=(CpmStuckFault(start_seconds=1.0, server_id=None),)
+            specs=(
+                CpmStuckFault(start_seconds=1.0, server_id=3),
+                JobKillFault(start_seconds=2.0, job_id=5),
+                ServerCrashFault(start_seconds=3.0, server_id=0),
+            ),
+            seed=9,
         )
-        layout = CellLayout(n_servers=4, cell_servers=4)
-        assert _split_fault_plan(plan, layout) == {0: plan}
+        (cell,) = _cut(4, 4, plan)
+        assert cell.fault_plan == plan
+
+
+@st.composite
+def _groups_and_plans(draw):
+    """Random server groups plus a plan over their global server ids."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    groups = [
+        (
+            FleetConfig(n_servers=size),
+            draw(st.one_of(st.none(), st.integers(1, 7))),
+            f"g{index}",
+        )
+        for index, size in enumerate(sizes)
+    ]
+    n_servers = sum(sizes)
+    times = st.sampled_from([0.0, 60.0, 120.0, 600.0])
+    # At most one crash per server keeps live counts in [0, size].
+    crashed = draw(
+        st.lists(st.integers(0, n_servers - 1), unique=True, max_size=4)
+    )
+    specs = [
+        ServerCrashFault(
+            start_seconds=draw(times),
+            server_id=server,
+            repair_seconds=draw(st.sampled_from([None, 60.0, 300.0])),
+        )
+        for server in crashed
+    ]
+    specs += draw(
+        st.lists(
+            st.builds(
+                CpmStuckFault,
+                start_seconds=times,
+                server_id=st.integers(0, n_servers - 1),
+            )
+            | st.builds(
+                JobKillFault, start_seconds=times, job_id=st.integers(0, 50)
+            ),
+            max_size=6,
+        )
+    )
+    plan = FaultPlan(specs=tuple(draw(st.permutations(specs))), seed=3)
+    budget = draw(st.floats(100.0, 5000.0, allow_nan=False))
+    return groups, plan, budget
+
+
+class TestBuildCellsProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_groups_and_plans())
+    def test_routing_and_budget_shares(self, drawn):
+        groups, plan, budget = drawn
+        cells = build_cells(groups, plan, budget)
+        n_cells = len(cells)
+        # Fixed width per group; only a group's last cell is narrower.
+        for config, cell_servers, label in groups:
+            widths = [c.config.n_servers for c in cells if c.label == label]
+            width = cell_servers or config.n_servers
+            assert sum(widths) == config.n_servers
+            assert all(w == width for w in widths[:-1])
+            assert 0 < widths[-1] <= width
+
+        def owner(spec):
+            if isinstance(spec, JobKillFault):
+                return spec.job_id % n_cells
+            (cell,) = [
+                c for c in cells
+                if c.offset <= spec.server_id < c.offset + c.config.n_servers
+            ]
+            return cell.index
+
+        # Each cell holds exactly its specs, in plan order, and offset +
+        # local id gives back every server-scoped spec's global id.
+        for cell in cells:
+            specs = cell.fault_plan.specs if cell.fault_plan else ()
+            rebased = [
+                spec
+                if isinstance(spec, JobKillFault)
+                else dataclasses.replace(
+                    spec, server_id=cell.offset + spec.server_id
+                )
+                for spec in specs
+            ]
+            assert rebased == [
+                spec for spec in plan.specs if owner(spec) == cell.index
+            ]
+            assert all(
+                0 <= spec.server_id < cell.config.n_servers
+                for spec in specs
+                if not isinstance(spec, JobKillFault)
+            )
+
+        # At every schedule instant the live cells' budgets sum to the
+        # fleet budget (the initial split sums to it bit-exactly).
+        assert sum(c.config.fleet_power_budget_w for c in cells) == budget
+        crashes = plan.of_type(ServerCrashFault)
+        instants = sorted(
+            {t for c in cells for t, _ in c.config.fleet_power_budget_schedule}
+        )
+        for at in instants:
+            in_force, live = [], []
+            for cell in cells:
+                due = [
+                    w for t, w in cell.config.fleet_power_budget_schedule
+                    if t <= at
+                ]
+                in_force.append(
+                    due[-1] if due else cell.config.fleet_power_budget_w
+                )
+                down = sum(
+                    1
+                    for crash in crashes
+                    if owner(crash) == cell.index
+                    and crash.start_seconds <= at
+                    and (
+                        crash.repair_seconds is None
+                        or crash.start_seconds + crash.repair_seconds > at
+                    )
+                )
+                live.append(cell.config.n_servers - down)
+            assert sum(
+                w for w, n in zip(in_force, live) if n > 0
+            ) == pytest.approx(budget, rel=1e-12)
+
+
+class TestStandaloneSpecs:
+    """A standalone spec configures the measure-path injector, which no
+    fleet runs: the fleet must refuse it rather than run fault-free."""
+
+    PLAN = FaultPlan(
+        specs=(CpmStuckFault(start_seconds=1.0, server_id=None, code=0),)
+    )
+
+    def test_fleet_simulation_rejects_standalone_specs(self, config):
+        with pytest.raises(FaultError, match="cpm_stuck: standalone"):
+            FleetSimulation(config, fault_plan=self.PLAN)
+
+    def test_single_cell_run_sharded_rejects_standalone_specs(self, config):
+        with pytest.raises(FaultError, match="cpm_stuck: standalone"):
+            run_sharded(config, fault_plan=self.PLAN)
 
 
 class TestDigestIdentity:
@@ -225,17 +403,7 @@ class TestShardedChaos:
 
 
 def _cells_for(config):
-    layout = CellLayout(n_servers=config.n_servers, cell_servers=2)
-    return tuple(
-        CellSpec(
-            index=cell_id,
-            offset=layout.offset(cell_id),
-            config=dataclasses.replace(
-                config, n_servers=layout.size(cell_id)
-            ),
-        )
-        for cell_id in range(layout.n_cells)
-    )
+    return build_cells([(config, 2, "")])
 
 
 @pytest.mark.chaos

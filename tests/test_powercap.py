@@ -16,6 +16,8 @@ import pytest
 
 from repro.api import measure, sweep
 from repro.errors import ConfigError, SchedulingError
+from repro.faults.plan import FaultPlan
+from repro.faults.spec import ServerCrashFault
 from repro.fleet import FleetConfig, TrafficConfig
 from repro.fleet.engine import FleetSimulation
 from repro.fleet.powercap import (
@@ -123,42 +125,6 @@ class TestCoordinatorControlLaw:
         assert isinstance(update, CapUpdate)
         assert update.measured_w == pytest.approx(200.0)
         assert update.total_cap_w == pytest.approx(sum(update.caps))
-
-
-class TestCoordinatorGains:
-    def test_gains_length_must_match_servers(self):
-        with pytest.raises(SchedulingError):
-            PowerCapCoordinator(budget_w=100.0, n_servers=2, gains=(0.5,))
-
-    def test_gains_entries_must_be_in_range(self):
-        for bad in (0.0, -0.5, 2.5):
-            with pytest.raises(SchedulingError):
-                PowerCapCoordinator(
-                    budget_w=100.0, n_servers=2, gains=(0.5, bad)
-                )
-
-    def test_uniform_gains_match_scalar_gain(self):
-        scalar = PowerCapCoordinator(budget_w=400.0, n_servers=2, gain=0.7)
-        vector = PowerCapCoordinator(
-            budget_w=400.0, n_servers=2, gains=(0.7, 0.7)
-        )
-        for _ in range(5):
-            expected = scalar.tick([300.0, 250.0])
-            actual = vector.tick([300.0, 250.0])
-            assert actual == expected
-
-    def test_effective_gain_is_mean_of_live(self):
-        # Kill the high-gain server: the loop must integrate with the
-        # survivor's 0.2 gain, not the (0.2 + 1.0)/2 mean.
-        coordinator = PowerCapCoordinator(
-            budget_w=400.0, n_servers=2, gains=(0.2, 1.0)
-        )
-        # Zero-error tick establishes the one-survivor membership
-        # without moving the integral state off the 400 W budget.
-        coordinator.tick([400.0, 0.0], live=(True, False))
-        # Now integrate a clean -100 W error at the survivor's gain.
-        update = coordinator.tick([500.0, 0.0], live=(True, False))
-        assert update.fleet_cap_w == pytest.approx(400.0 + 0.2 * -100.0)
 
 
 class TestCoordinatorLiveMask:
@@ -308,6 +274,33 @@ class TestBudgetSchedule:
             FleetSimulation(noop).run().event_log_hash
             == FleetSimulation(base).run().event_log_hash
         )
+
+
+class TestCrashResplit:
+    """A crash re-splits a sharded fleet's budget over the live servers."""
+
+    def test_sharded_crash_resplits_the_budget(self):
+        config = FleetConfig(
+            n_servers=4, traffic=TRAFFIC, seed=7, fleet_power_budget_w=1100.0
+        )
+        plan = FaultPlan(
+            specs=(ServerCrashFault(start_seconds=900.0, server_id=1),)
+        )
+        one, two = (
+            run_sharded(
+                config, cell_servers=2, n_shards=n_shards, fault_plan=plan
+            )
+            for n_shards in (1, 2)
+        )
+        assert one.event_log_hash == two.event_log_hash
+        updates = sorted(
+            entry["budget_w"]
+            for entry in one.events
+            if entry["kind"] == "budget_update"
+        )
+        # Cell 0 keeps one live server of three, cell 1 two of three.
+        assert updates == pytest.approx([1100.0 / 3, 2200.0 / 3])
+        assert sum(updates) == 1100.0
 
 
 class TestBackendRegistry:

@@ -97,5 +97,5 @@ class TestGoldens:
 
     @pytest.mark.slow
     def test_goldens_hold_under_sharded_execution(self):
-        verdict = check_scenario(FASTEST, n_shards=2, workers=2)
+        verdict = check_scenario(FASTEST, n_shards=2)
         assert verdict.passed, verdict.failures

@@ -82,8 +82,7 @@ class TestParserDefaults:
         assert args.shards == 1
         assert args.skip_slow is False
         assert args.trace_out is None
-        # Shared runner options ride along from the common parent parser.
-        assert args.workers == 1
+        # Shared options ride along from the common parent parser.
         assert args.seed == 7
         assert args.metrics_out is None
 
@@ -127,7 +126,7 @@ class TestActions:
         assert main(["scenario", "run", tiny_path]) == 0
         base = capsys.readouterr().out
         assert main(
-            ["scenario", "run", tiny_path, "--shards", "2", "--workers", "2"]
+            ["scenario", "run", tiny_path, "--shards", "2"]
         ) == 0
         assert capsys.readouterr().out == base
 

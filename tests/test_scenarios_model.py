@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro.errors import FaultError, ReproError, ScenarioError
+from repro.fleet import FleetConfig, build_cells
 from repro.fleet.traffic import TrafficConfig
 from repro.scenarios import (
     FaultPlanSpec,
@@ -99,9 +100,14 @@ class TestWorkloadMixSpec:
 
 class TestTopologySpec:
     def test_cells_follow_cell_servers(self):
+        def widths(group):
+            config = FleetConfig(n_servers=group.servers)
+            cells = build_cells([(config, group.cell_servers, group.name)])
+            return [cell.config.n_servers for cell in cells]
+
         group = ServerGroupSpec(name="g", servers=5, cell_servers=2)
-        assert group.n_cells == 3  # 2 + 2 + 1
-        assert ServerGroupSpec(name="g", servers=4).n_cells == 1
+        assert widths(group) == [2, 2, 1]
+        assert widths(ServerGroupSpec(name="g", servers=4)) == [4]
 
     def test_duplicate_group_names_rejected(self):
         with pytest.raises(ScenarioError, match="unique"):
