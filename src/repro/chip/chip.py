@@ -59,7 +59,7 @@ class Power7Chip:
 
     def active_core_ids(self) -> List[int]:
         """Ids of cores running at least one thread."""
-        return [c.core_id for c in self.cores if c.state().active]
+        return [c.core_id for c in self.cores if c.active]
 
     def n_active_cores(self) -> int:
         """Number of cores running at least one thread."""
@@ -93,8 +93,7 @@ class Power7Chip:
             raise ValueError(f"keep_on must be >= 0, got {keep_on}")
         powered = 0
         for core in self.cores:
-            state = core.state()
-            if state.gated:
+            if core.gated:
                 continue
             if core.n_threads > 0 or powered < keep_on:
                 powered += 1

@@ -99,6 +99,12 @@ class Power7Core:
         return self._gated
 
     @property
+    def active(self) -> bool:
+        """Whether the core runs at least one thread (and is not gated);
+        :attr:`CoreState.active` of its :meth:`state`."""
+        return not self._gated and bool(self._threads)
+
+    @property
     def free_slots(self) -> int:
         """Unoccupied SMT slots (0 when gated)."""
         if self._gated:

@@ -98,7 +98,11 @@ class CriticalPathMonitor:
             + (margin - self._calibrated_margin) / step
             + self._code_offset
         )
-        return int(np.clip(round(raw), 0, self._config.cpm_code_max))
+        code = round(raw)
+        if code < 0:
+            return 0
+        top = self._config.cpm_code_max
+        return top if code > top else code
 
     def margin_for_code(self, code: int, frequency: float) -> float:
         """Inverse transfer: margin (V) at which this CPM outputs ``code``.
@@ -145,19 +149,26 @@ class CpmBank:
     ) -> None:
         self._config = config
         floorplan = floorplan or Floorplan(config.n_cores)
-        rng = np.random.default_rng(seed)
         locations = floorplan.cpm_locations(config.cpms_per_core)
+        # Every normal of the die in one call, consumed in the per-draw
+        # order (per core: its scale, then each CPM's scale and offset).
+        # ``rng.normal(loc, s)`` is ``loc + s * z`` on the same stream;
+        # tests/test_guardband_reference.py pins that identity.
+        n_draws = sum(1 + 2 * len(locations[core]) for core in range(config.n_cores))
+        z = iter(np.random.default_rng(seed).standard_normal(n_draws).tolist())
+        core_sigma = config.cpm_sensitivity_sigma * 0.6
+        cpm_sigma = config.cpm_sensitivity_sigma * 0.5
+        offset_sigma = config.cpm_offset_sigma
         self._cpms: List[List[CriticalPathMonitor]] = []
         for core in range(config.n_cores):
             # Core-level component of the variation (cores differ from each
             # other more than CPMs within a core do — Fig. 6b).
-            core_scale = float(rng.normal(1.0, config.cpm_sensitivity_sigma * 0.6))
+            core_scale = 1.0 + core_sigma * next(z)
             core_cpms = []
             for unit in locations[core]:
-                scale = core_scale * float(
-                    rng.normal(1.0, config.cpm_sensitivity_sigma * 0.5)
-                )
-                offset = float(rng.normal(0.0, config.cpm_offset_sigma))
+                scale = core_scale * (1.0 + cpm_sigma * next(z))
+                # ``0.0 +`` is numpy's location term: it maps -0.0 to 0.0.
+                offset = 0.0 + offset_sigma * next(z)
                 core_cpms.append(
                     CriticalPathMonitor(
                         config,

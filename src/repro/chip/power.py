@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..config import ChipConfig
+from ..pdn.delivery import pairwise_sum
 
 #: Reference voltage for the leakage power normalization (V).
 LEAKAGE_VREF = 1.2
@@ -110,6 +111,37 @@ class PreparedPower:
         """Nest clock: mean ungated-core frequency, ``f_min`` if all gated."""
         ungated = [f for f, on in zip(frequencies, self._ungated) if on]
         return sum(ungated) / len(ungated) if ungated else self._f_min
+
+    def currents(
+        self,
+        voltages: Sequence[float],
+        frequencies: Sequence[float],
+        f_uncore: float,
+    ) -> Tuple[List[float], float]:
+        """``(per-core currents, uncore current)`` (A) at these voltages.
+
+        One pass of the fixed point's power step: each core draws its
+        dynamic plus leakage power over its own voltage, the uncore its
+        power at the nest voltage and clock over the mean core voltage
+        (reduced in numpy's order, :func:`~repro.pdn.delivery.pairwise_sum`);
+        both floor the voltage at 0.3 V.  Every product and sum is the one
+        :meth:`core_dynamic`, :meth:`core_leakage`, :meth:`uncore_voltage`
+        and :meth:`uncore` compute, in the same operand order.
+        """
+        nominal, k, t_scale = self._core_leakage, self._k, self._t_scale
+        # ``max(v, 0.3)`` spelled as a conditional: same result, without a
+        # builtin call per core.
+        core = [
+            (c * v * v * f + nominal * (v / LEAKAGE_VREF) ** k * t_scale * r)
+            / (0.3 if v < 0.3 else v)
+            for c, v, f, r in zip(self._dynamic, voltages, frequencies, self._residual)
+        ]
+        v_nest = self.uncore_voltage(voltages)
+        uncore_power = self._uncore_dynamic * v_nest * v_nest * f_uncore + (
+            self._uncore_leakage * (v_nest / LEAKAGE_VREF) ** k * t_scale
+        )
+        mean = pairwise_sum(voltages) / len(voltages)
+        return core, uncore_power / (0.3 if mean < 0.3 else mean)
 
     def uncore(self, voltage: float, frequency: float) -> Tuple[float, float]:
         """(dynamic, leakage) uncore power (W) at the nest voltage and clock."""

@@ -18,7 +18,7 @@ and recovery behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..config import ServerConfig
 from ..errors import ConvergenceError
@@ -57,23 +57,6 @@ class UndervoltPolicy:
 
     def __init__(self, config: ServerConfig) -> None:
         self._config = config
-
-    def required_voltage(
-        self, socket: ProcessorSocket, core_id: int, frequency: float
-    ) -> float:
-        """Minimum *delivered* core voltage (V) that survives a worst droop.
-
-        Timing wall at the target clock, plus the calibrated margin, plus
-        the full worst-case droop depth at the current activity level.
-        """
-        chip_cfg = self._config.chip
-        n_active = socket.chip.n_active_cores()
-        droop = socket.path.noise.worst_droop(n_active)
-        return (
-            chip_cfg.vmin(frequency)
-            + calibrated_margin(chip_cfg, self._config.guardband)
-            + droop
-        )
 
     def converge(
         self, socket: ProcessorSocket, f_target: Optional[float] = None
@@ -146,11 +129,18 @@ class UndervoltPolicy:
         solution: SocketSolution,
         target: float,
     ) -> float:
-        """Smallest per-core voltage surplus over the droop-safe requirement."""
-        surpluses: List[float] = []
-        for core_id, (voltage, frequency) in enumerate(
-            zip(solution.core_voltages, solution.frequencies)
-        ):
-            required = self.required_voltage(socket, core_id, max(frequency, target))
-            surpluses.append(voltage - required)
-        return min(surpluses)
+        """Smallest per-core voltage surplus over the droop-safe requirement.
+
+        A core needs, *delivered*, the timing wall at its clock (never below
+        the target) plus the calibrated margin plus the full worst-case
+        droop depth at the solution's activity level.  Margin and droop are
+        the same for every core, so they are looked up once; the sum keeps
+        its ``(wall + margin) + droop`` order.
+        """
+        chip_cfg = self._config.chip
+        margin = calibrated_margin(chip_cfg, self._config.guardband)
+        droop = socket.path.noise.worst_droop(len(solution.active_core_ids))
+        return min(
+            voltage - (chip_cfg.vmin(max(frequency, target)) + margin + droop)
+            for voltage, frequency in zip(solution.core_voltages, solution.frequencies)
+        )

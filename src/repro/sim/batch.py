@@ -43,7 +43,13 @@ from ..guardband import GuardbandMode
 from ..obs import observability
 from ..workloads.profile import WorkloadProfile
 from ..workloads.scaling import RuntimeModel, SocketShare
-from .cache import CacheStats, OperatingPointCache, fingerprint
+from .cache import (
+    CacheStats,
+    OperatingPointCache,
+    _plain,
+    fingerprint,
+    plain_fingerprint,
+)
 from .results import RunResult, SteadyState, active_mean_frequency
 from .run import build_server
 from .server import Power720Server
@@ -656,10 +662,9 @@ class SweepRunner:
         for index, task in enumerate(tasks):
             have: Dict[str, SteadyState] = {}
             missing: List[GuardbandMode] = []
-            task_keys: Dict[str, str] = {}
+            task_keys = self._point_keys(cfg_fp, task, seed)
             for mode in self._modes_of(task):
-                key = task_keys[mode.value] = self._point_key(cfg_fp, task, mode, seed)
-                cached = self.cache.get(key)
+                cached = self.cache.get(task_keys[mode.value])
                 if cached is not None:
                     have[mode.value] = cached
                 else:
@@ -854,21 +859,20 @@ class SweepRunner:
             return (GuardbandMode.STATIC,)
         return (GuardbandMode.STATIC, task.mode)
 
-    def _point_key(
-        self,
-        cfg_fp: str,
-        task: SweepTask,
-        mode: GuardbandMode,
-        seed: Optional[int] = None,
-    ) -> str:
-        return fingerprint(
-            {
-                "config": cfg_fp,
-                "coords": task.coordinates(),
-                "mode": mode.value,
-                "seed": self.seed_root if seed is None else seed,
-            }
-        )
+    def _point_keys(self, cfg_fp: str, task: SweepTask, seed: int) -> Dict[str, str]:
+        """Cache key of each mode the task needs, by mode value: the
+        :func:`fingerprint` of ``{"config", "coords", "mode", "seed"}``.
+
+        The coordinates are reduced to plain JSON once and shared by the
+        static and the adaptive key.
+        """
+        coords = _plain(task.coordinates())
+        return {
+            mode.value: plain_fingerprint(
+                {"config": cfg_fp, "coords": coords, "mode": mode.value, "seed": seed}
+            )
+            for mode in self._modes_of(task)
+        }
 
 
 # ----------------------------------------------------------------------

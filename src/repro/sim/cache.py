@@ -68,9 +68,12 @@ def fingerprint(value: Any) -> str:
     with their type name mixed in, so two configs that happen to share
     field values but differ in type still key apart.
     """
-    return hashlib.sha256(
-        canonical_json(_plain(value)).encode("utf-8")
-    ).hexdigest()[:16]
+    return plain_fingerprint(_plain(value))
+
+
+def plain_fingerprint(plain: Any) -> str:
+    """:func:`fingerprint` of a structure already reduced by :func:`_plain`."""
+    return hashlib.sha256(canonical_json(plain).encode("utf-8")).hexdigest()[:16]
 
 
 #: Leaf types :func:`_plain` returns as they are (exact types only).

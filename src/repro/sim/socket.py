@@ -244,11 +244,7 @@ class ProcessorSocket:
                         target = min(target, frequency_cap)
                     freqs.append(target)
                 f_uncore = power.uncore_frequency(freqs)
-            unc_dyn, unc_leak = power.uncore(power.uncore_voltage(voltages), f_uncore)
-            core_currents, uncore_current = _currents(
-                power.core_dynamic(voltages, freqs), power.core_leakage(voltages),
-                unc_dyn + unc_leak, voltages,
-            )
+            core_currents, uncore_current = power.currents(voltages, freqs, f_uncore)
             *_, new_voltages = delivery.drops(core_currents, uncore_current)
             delta = max([abs(new - v) for new, v in zip(new_voltages, voltages)])
             voltages = [v + DAMPING * (new - v) for new, v in zip(new_voltages, voltages)]
@@ -277,33 +273,20 @@ class ProcessorSocket:
             gated=occupancy.gated,
             temperature=temperature,
         )
-        core_currents, uncore_current = _currents(
-            power.core_dynamic, power.core_leakage,
-            power.uncore_dynamic + power.uncore_leakage, voltages,
-        )
+        # The currents the loop's fused power step draws, here from the
+        # reported breakdown: same sums, same order.
+        core_currents = [
+            (d + l) / (0.3 if v < 0.3 else v)
+            for d, l, v in zip(power.core_dynamic, power.core_leakage, voltages)
+        ]
+        mean = pairwise_sum(voltages) / len(voltages)
+        uncore_current = (power.uncore_dynamic + power.uncore_leakage) / max(mean, 0.3)
         drops = self.path.deliver(core_currents, uncore_current, occupancy.n_active)
         total_current = float(sum(core_currents)) + uncore_current
         return drops, power, total_current
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessorSocket(id={self.socket_id}, chip={self.chip!r})"
-
-
-def _currents(dynamic: list, leakage: list, uncore_power: float, voltages: list) -> tuple:
-    """``(per-core currents, uncore current)`` drawn at these voltages.
-
-    Each core draws its power over its own voltage; the uncore draws over
-    the mean core voltage, reduced in numpy's order (:func:`pairwise_sum`).
-    Both floor the voltage at 0.3 V.
-    """
-    # ``max(v, 0.3)`` spelled as a conditional: same result, without a
-    # builtin call per core.
-    core = [
-        (d + l) / (0.3 if v < 0.3 else v)
-        for d, l, v in zip(dynamic, leakage, voltages)
-    ]
-    mean = pairwise_sum(voltages) / len(voltages)
-    return core, uncore_power / max(mean, 0.3)
 
 
 @dataclass(frozen=True)

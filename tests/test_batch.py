@@ -160,6 +160,46 @@ class TestCacheBehavior:
         assert runner.cache.stats.hits == 0
         assert base.static.point != tweaked.static.point
 
+    def test_point_keys_match_per_mode_fingerprints(self, runner, raytrace):
+        """Keys built from once-reduced coordinates equal the former
+        per-mode ``fingerprint`` of the raw coordinates, so caches on
+        disk written before keep hitting."""
+        from repro.sim.batch import config_fingerprint
+
+        placement = ConsolidationScheduler(ServerConfig()).schedule(raytrace, 4, 8)
+        tasks = []
+        for mode in GuardbandMode:
+            tasks += [
+                SweepTask.consolidated(raytrace, 3, mode, runtime_params=(40.0, 0.2)),
+                SweepTask.placement(raytrace, (3, 2), mode, keep_on=(4, 2)),
+                SweepTask.scheduled(placement, raytrace, mode, f_target=3.5e9),
+            ]
+        cfg_fp = config_fingerprint(ServerConfig())
+        for task in tasks:
+            for seed in (7, 12345):
+                former = {
+                    mode.value: fingerprint(
+                        {
+                            "config": cfg_fp,
+                            "coords": task.coordinates(),
+                            "mode": mode.value,
+                            "seed": seed,
+                        }
+                    )
+                    for mode in runner._modes_of(task)
+                }
+                assert runner._point_keys(cfg_fp, task, seed) == former
+        runner.run(tasks[-1:])
+        static_key = fingerprint(
+            {
+                "config": cfg_fp,
+                "coords": tasks[-1].coordinates(),
+                "mode": "static",
+                "seed": runner.seed_root,
+            }
+        )
+        assert runner.cache.get(static_key) is not None
+
     def test_lru_eviction(self, raytrace):
         cache = OperatingPointCache(max_entries=2)
         runner = SweepRunner(cache=cache)

@@ -107,6 +107,21 @@ class TestUndervoltPolicy:
         )
         assert 0 <= excess < step
 
+    def test_excess_reads_the_solutions_own_occupancy(
+        self, loaded_server, server_config
+    ):
+        """The droop-safe requirement uses the active-core count the
+        solution was settled at, not the live chip's: emptying the cores
+        after the settle (same noise model) leaves the excess unchanged."""
+        socket = loaded_server.sockets[0]
+        policy = UndervoltPolicy(server_config)
+        result = policy.converge(socket)
+        target = server_config.chip.f_nominal
+        settled = policy._worst_excess(socket, result.solution, target)
+        socket.chip.clear_threads()
+        assert socket.chip.n_active_cores() == 0
+        assert policy._worst_excess(socket, result.solution, target) == settled
+
     def test_heavier_load_shallower_undervolt(self, server, raytrace, server_config):
         policy = UndervoltPolicy(server_config)
         server.place(0, raytrace, 1)

@@ -1,16 +1,20 @@
 """Property-based tests (hypothesis) on the core physical invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.chip.aging import AgingModel, aged_server_config
 from repro.chip.cpm import CriticalPathMonitor
 from repro.chip.power import PowerModel
 from repro.chip.timing import TimingModel
-from repro.config import ChipConfig, DidtConfig, PdnConfig
+from repro.config import ChipConfig, DidtConfig, PdnConfig, ServerConfig
 from repro.floorplan import Floorplan
+from repro.guardband.undervolt import UndervoltPolicy
 from repro.pdn import DidtNoiseModel, IrDropNetwork
+from repro.pdn.backends import backend_names
 from repro.pdn.decomposition import DropDecomposer
+from repro.sim.server import Power720Server
 from repro.workloads.scaling import RuntimeModel, SocketShare
 from repro.workloads import get_profile, profile_names
 
@@ -218,3 +222,44 @@ class TestDvfsProperties:
         assert point.voltage <= budget + 1e-9
         if point.index + 1 < len(table):
             assert table[point.index + 1].voltage > budget
+
+
+class TestUndervoltSettleProperties:
+    """Every undervolt settle is droop-safe and tight, across die seeds,
+    both PDN backends and aged silicon."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        die_seed=st.integers(min_value=0, max_value=10_000),
+        backend=st.sampled_from(backend_names()),
+        age_years=st.none() | st.floats(min_value=0.5, max_value=10.0),
+        profile=st.sampled_from(profile_names()),
+        n_threads=st.integers(min_value=0, max_value=8),
+        f_target=st.none() | st.floats(min_value=3.0e9, max_value=4.4e9),
+    )
+    def test_setpoint_within_rail_and_one_step_of_limit(
+        self, die_seed, backend, age_years, profile, n_threads, f_target
+    ):
+        config = ServerConfig(pdn_backend=backend)
+        if age_years is not None:
+            config = aged_server_config(config, AgingModel(), age_years)
+        server = Power720Server(config=config, seed=die_seed)
+        if n_threads:
+            server.place(0, get_profile(profile), n_threads)
+        socket = server.sockets[0]
+        policy = UndervoltPolicy(config)
+        result = policy.converge(socket, f_target)
+
+        static_rail = socket.path.vrm.quantize(config.static_vdd)
+        step = socket.path.vrm.step
+        target = config.chip.f_nominal if f_target is None else f_target
+        excess = policy._worst_excess(socket, result.solution, target)
+        assert result.setpoint <= static_rail
+        assert result.undervolt >= 0
+        assert excess < step
+        if result.setpoint != static_rail:
+            assert excess >= 0

@@ -2,7 +2,9 @@
 
 ``ProcessorSocket._iterate`` runs on constants hoisted once per solve
 (:class:`~repro.chip.power.PreparedPower`,
-:class:`~repro.pdn.delivery.PreparedDelivery`) and on plain floats.  The
+:class:`~repro.pdn.delivery.PreparedDelivery`) and on plain floats, one
+fused power step (``PreparedPower.currents``) and one delivery step
+(``PreparedDelivery.drops``) per iteration.  The
 operating-point cache and the fleet event-log SHA-256 hash exact floats,
 so the settled state must equal what the per-iteration loop produced,
 bit for bit.  This module keeps that loop as the reference: the scalar
