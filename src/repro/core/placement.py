@@ -9,6 +9,7 @@ testable without touching the electrical model.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Tuple
 
@@ -18,6 +19,46 @@ from ..workloads.scaling import SocketShare
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..sim.server import Power720Server
+
+
+#: Instance-``__dict__`` slot of a :func:`cached_hash` value.
+_HASH_SLOT = "_cached_hash"
+
+
+def cached_hash(cls):
+    """Make a frozen dataclass compute its hash once per instance.
+
+    The generated ``__hash__`` re-hashes every field (a nested
+    placement's groups and profiles, a policy's enums) on every dict
+    probe, and the fleet memos probe the same keys over and over.  The
+    cached value *is* the default, ``hash(tuple of the hashed fields)``,
+    so set and dict behaviour cannot change; equality stays field-wise.
+    It is never pickled: string hashes are salted per process, so a
+    value carried into a spawned worker would be wrong there.  Apply
+    above ``@dataclass(frozen=True)``.
+    """
+    names = tuple(
+        field.name
+        for field in dataclasses.fields(cls)
+        if (field.compare if field.hash is None else field.hash)
+    )
+
+    def __hash__(self) -> int:
+        state = self.__dict__
+        value = state.get(_HASH_SLOT)
+        if value is None:
+            value = hash(tuple([getattr(self, name) for name in names]))
+            state[_HASH_SLOT] = value
+        return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop(_HASH_SLOT, None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
 
 
 @dataclass(frozen=True)
@@ -34,6 +75,7 @@ class ThreadGroup:
             )
 
 
+@cached_hash
 @dataclass(frozen=True)
 class Placement:
     """A complete scheduling decision for the server."""

@@ -308,7 +308,13 @@ class FleetSimulation:
         runner: Optional[SweepRunner] = None,
         trace: Optional[Sequence[JobSpec]] = None,
         fault_plan: Optional[FaultPlan] = None,
+        server_offset: int = 0,
     ) -> None:
+        # ``server_offset`` is the global id of server 0 in everything
+        # the run returns (log entries, job records, fallback dwell): a
+        # sharded cell's offset, 0 for a whole fleet.  Internal state
+        # keeps local ids.
+        self.server_offset = server_offset
         self.config = config
         self.policy = policy
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
@@ -333,7 +339,7 @@ class FleetSimulation:
         self.accounts = [
             EnergyAccount(server_id=i) for i in range(config.n_servers)
         ]
-        self.log = EventLog()
+        self.log = EventLog(server_offset=server_offset)
         self.records: Dict[int, JobRecord] = {}
         self.running: Dict[int, _RunningJob] = {}
         self.queue: List[int] = []
@@ -815,7 +821,7 @@ class FleetSimulation:
         state.rebalance_generation += 1  # cancel any pending power-off
         record = self.records[spec.job_id]
         record.start_ns = now_ns
-        record.server_id = server_id
+        record.server_id = server_id + self.server_offset
         self.running[spec.job_id] = _RunningJob(
             spec=spec,
             server_id=server_id,
@@ -1455,7 +1461,11 @@ class FleetSimulation:
             n_server_crashes=self.n_server_crashes,
             n_job_kills=self.n_job_kills,
             fallback_seconds=tuple(
-                (server_id, socket_id, ns_to_seconds(dwell))
+                (
+                    server_id + self.server_offset,
+                    socket_id,
+                    ns_to_seconds(dwell),
+                )
                 for (server_id, socket_id), dwell in sorted(
                     self._fallback_ns.items()
                 )

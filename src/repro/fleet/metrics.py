@@ -97,10 +97,19 @@ class EnergyAccount:
 
 
 class EventLog:
-    """Append-only structured event stream with a canonical hash."""
+    """Append-only structured event stream with a canonical hash.
 
-    def __init__(self) -> None:
+    ``server_offset`` is added to each entry's ``server_id`` as it is
+    recorded, so a sharded cell logs global server ids (the offset is
+    its first server's id; 0 leaves ids untouched).  Each entry is
+    rendered to canonical JSON once, on first need, and :meth:`digest`,
+    :meth:`lines` and :meth:`timed_lines` share that rendering.
+    """
+
+    def __init__(self, server_offset: int = 0) -> None:
         self._entries: List[dict] = []
+        self._lines: List[str] = []
+        self._server_offset = server_offset
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -109,6 +118,8 @@ class EventLog:
         """Record one event; field order never affects the hash."""
         entry = {"kind": kind, "time_ns": time_ns}
         entry.update(fields)
+        if self._server_offset and "server_id" in entry:
+            entry["server_id"] += self._server_offset
         self._entries.append(entry)
 
     @property
@@ -116,22 +127,36 @@ class EventLog:
         """The recorded events, in order."""
         return tuple(self._entries)
 
+    def _rendered(self) -> List[str]:
+        """Canonical lines of every entry, rendering only new ones."""
+        lines = self._lines
+        for entry in self._entries[len(lines):]:
+            lines.append(canonical_json(entry))
+        return lines
+
     def digest(self) -> str:
         """SHA-256 over the canonical JSONL rendering of the log."""
         hasher = hashlib.sha256()
-        for entry in self._entries:
-            hasher.update(canonical_json(entry).encode("utf-8"))
+        for line in self._rendered():
+            hasher.update(line.encode("utf-8"))
             hasher.update(b"\n")
         return hasher.hexdigest()
 
     def lines(self) -> List[str]:
         """Canonical JSONL lines (what :meth:`write_jsonl` writes)."""
-        return [canonical_json(entry) for entry in self._entries]
+        return list(self._rendered())
+
+    def timed_lines(self) -> List[Tuple[int, str]]:
+        """``(time_ns, canonical line)`` per entry: a cell's merge input."""
+        return [
+            (entry["time_ns"], line)
+            for entry, line in zip(self._entries, self._rendered())
+        ]
 
     def write_jsonl(self, path: str) -> None:
         """Dump the log as one canonical JSON object per line."""
         with open(path, "w", encoding="utf-8") as handle:
-            for line in self.lines():
+            for line in self._rendered():
                 handle.write(line + "\n")
 
 

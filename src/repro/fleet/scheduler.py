@@ -24,12 +24,12 @@ The scheduler realizes the paper's cluster sketch (Sec. 5.1.1) as an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import ServerConfig
 from ..core.advisor import ColocationAdvisor
-from ..core.placement import Placement, ThreadGroup
+from ..core.placement import Placement, ThreadGroup, cached_hash
 from ..errors import SchedulingError
 from ..guardband import GuardbandMode
 from ..obs import observability
@@ -78,6 +78,7 @@ def socket_min_active_frequency(point, socket_id: int) -> float:
     return value
 
 
+@cached_hash
 @dataclass(frozen=True)
 class FleetPolicy:
     """One named scheduling-and-guardbanding regime."""
@@ -268,14 +269,12 @@ class OnlineFleetScheduler:
         total = sum(job.n_threads for job in jobs)
         if total > self._capacity:
             return False
-        if any(job.n_threads > self._capacity for job in jobs):
-            return False
-        lc_total = sum(
-            job.n_threads for job in jobs if job.latency_critical
-        )
-        if self._uses_qos_mapping(jobs) and lc_total > self._per_socket:
+        if self._uses_qos_mapping(jobs):
             # QoS mapping pins critical threads to socket 0.
-            return False
+            lc_total = sum(
+                job.n_threads for job in jobs if job.latency_critical
+            )
+            return lc_total <= self._per_socket
         return True
 
     # ------------------------------------------------------------------
@@ -321,12 +320,15 @@ class OnlineFleetScheduler:
         hit = _plan_memo.get(memo_key)
         if hit is not None:
             template, share_list = hit
-            return replace(
-                template,
+            return PlacementPlan(
+                placement=template.placement,
+                guardband_mode=template.guardband_mode,
+                mode_name=template.mode_name,
                 job_shares={
                     job.job_id: share
                     for job, share in zip(ordered, share_list)
                 },
+                has_lc=template.has_lc,
             )
         has_lc = any(job.latency_critical for job in ordered)
         mode = self._regime(ordered, has_lc)

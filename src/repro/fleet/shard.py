@@ -20,9 +20,9 @@ therefore has two independent axes:
 
 The canonical merged stream orders entries by ``(time_ns, cell_id,
 seq)`` where ``seq`` is the entry's position in its cell's log — a
-stable k-way merge of already-ordered streams.  Per-cell server ids are
-remapped to global ids (cell offset + local id) *before* rendering, so
-the merged log reads as one coherent fleet.
+stable k-way merge of already-ordered streams.  Each cell's engine logs
+global server ids (cell offset + local id), so the merged log reads as
+one coherent fleet.
 
 A single cell (``cell_servers >= n_servers``) routes every job to
 cell 0, which simulates exactly :class:`FleetSimulation` over the full
@@ -52,7 +52,6 @@ from ..faults.spec import (
 )
 from ..obs import observability
 from ..sim.batch import MAX_SHARD_RETRIES, SweepRunner, fan_out
-from ..sim.cache import canonical_json
 from .engine import FleetConfig, FleetSimulation, reject_standalone_specs
 from .metrics import FleetComparison, FleetResult, JobRecord
 from .powercap import decompose_budget
@@ -241,10 +240,13 @@ def _simulate_cell(
 ) -> Tuple[FleetResult, List[Tuple[int, str]]]:
     """Simulate one cell; returns its result and canonical log lines.
 
-    Log entries are remapped to global server ids and rendered to
-    canonical JSON here, so the parent only merges strings.
+    The cell's engine is built with the cell's offset, so its log,
+    job records and fallback dwell already carry global server ids, and
+    the lines it rendered for its own digest are the ones returned: the
+    parent only merges strings and no entry is rendered twice.  The
+    returned result's ``event_log_hash`` is therefore over global ids;
+    nothing reads it (the merge hashes the lines).
     """
-    offset = cell.offset
     runner = SweepRunner(max_workers=workers, seed_root=cell.config.seed)
     sim = FleetSimulation(
         cell.config,
@@ -252,31 +254,10 @@ def _simulate_cell(
         runner=runner,
         trace=trace,
         fault_plan=cell.fault_plan,
+        server_offset=cell.offset,
     )
-    result = sim.run()
-    lines: List[Tuple[int, str]] = []
-    for entry in result.events:
-        if "server_id" in entry:
-            entry = dict(entry)
-            entry["server_id"] += offset
-        lines.append((entry["time_ns"], canonical_json(entry)))
-    records = tuple(
-        dataclasses.replace(
-            record,
-            server_id=(
-                None if record.server_id is None else record.server_id + offset
-            ),
-        )
-        for record in result.job_records
-    )
-    fallback = tuple(
-        (server_id + offset, socket_id, seconds)
-        for server_id, socket_id, seconds in result.fallback_seconds
-    )
-    result = dataclasses.replace(
-        result, events=(), job_records=records, fallback_seconds=fallback
-    )
-    return result, lines
+    result = dataclasses.replace(sim.run(), events=())
+    return result, sim.log.timed_lines()
 
 
 #: Environment hook for deterministic worker-death tests:

@@ -71,6 +71,30 @@ class JobSpec:
     #: settled frequency stretch or shrink it during the simulation.
     service_seconds: float
 
+    def __post_init__(self) -> None:
+        # A hand-built trace reaches the engine unchecked otherwise: zero
+        # threads fail late as an empty placement, a negative demand
+        # "completes" on arrival and a misspelt class runs as batch.
+        problem = None
+        if self.n_threads < 1:
+            problem = f"n_threads must be >= 1, got {self.n_threads}"
+        elif not (
+            math.isfinite(self.service_seconds) and self.service_seconds > 0
+        ):
+            problem = (
+                "service_seconds must be finite and > 0, got "
+                f"{self.service_seconds}"
+            )
+        elif self.arrival_ns < 0:
+            problem = f"arrival_ns must be >= 0, got {self.arrival_ns}"
+        elif self.job_class not in (LATENCY_CRITICAL, BATCH):
+            problem = (
+                f"job_class must be {LATENCY_CRITICAL!r} or {BATCH!r}, "
+                f"got {self.job_class!r}"
+            )
+        if problem is not None:
+            raise SchedulingError(f"job {self.job_id}: {problem}")
+
     @property
     def latency_critical(self) -> bool:
         """Whether the job carries the frequency SLA."""

@@ -10,6 +10,7 @@ points (sum of both sockets plus the constant peripheral power).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 from ..chip import Power7Chip
@@ -33,12 +34,15 @@ class ServerOperatingPoint:
     #: Constant peripheral power (W) included in :attr:`server_power`.
     peripheral_power: float
 
-    @property
+    # Cached: a settled point is immutable and the fleet engine reads its
+    # power several times per epoch.  Only fields are encoded, compared
+    # and hashed, so the cache never reaches a settle-cache entry.
+    @cached_property
     def chip_power(self) -> float:
         """Total Vdd power of all sockets (W) — the paper's primary metric."""
         return sum(p.chip_power for p in self.sockets)
 
-    @property
+    @cached_property
     def server_power(self) -> float:
         """Chip power plus peripherals (W)."""
         return self.chip_power + self.peripheral_power

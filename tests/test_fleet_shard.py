@@ -7,6 +7,7 @@ combination and assert one digest.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -21,15 +22,19 @@ from repro.faults.spec import (
     ServerCrashFault,
 )
 from repro.fleet import FleetConfig, TrafficConfig
+from repro.fleet import metrics
 from repro.fleet.engine import FleetSimulation
 from repro.fleet.scheduler import AGS_POLICY
 from repro.fleet.shard import (
     ENV_SHARD_FAULT,
     MAX_SHARD_RETRIES,
+    _simulate_cell,
     build_cells,
     run_cell_specs,
     run_sharded,
 )
+from repro.fleet.traffic import generate_trace
+from repro.sim.cache import canonical_json
 
 #: Short but non-trivial day: queueing, completions, and power cycling
 #: all occur, so the logs exercise every event kind.
@@ -368,6 +373,159 @@ class TestDigestIdentity:
         assert all(0 <= s < config.n_servers for s in server_ids)
         times = [entry["time_ns"] for entry in result.events]
         assert times == sorted(times)
+
+
+def _former_cell(cell, trace):
+    """A cell's result and lines as the former ``_simulate_cell`` built them.
+
+    Verbatim reference: the engine worked in cell-local server ids, and
+    after the run every log entry was copied, remapped by the cell
+    offset and rendered again, and records and fallback dwell were
+    remapped the same way.
+    """
+    result = FleetSimulation(
+        cell.config, AGS_POLICY, trace=trace, fault_plan=cell.fault_plan
+    ).run()
+    offset = cell.offset
+    lines = []
+    for entry in result.events:
+        if "server_id" in entry:
+            entry = dict(entry)
+            entry["server_id"] += offset
+        lines.append((entry["time_ns"], canonical_json(entry)))
+    records = tuple(
+        dataclasses.replace(
+            record,
+            server_id=(
+                None if record.server_id is None else record.server_id + offset
+            ),
+        )
+        for record in result.job_records
+    )
+    fallback = tuple(
+        (server_id + offset, socket_id, seconds)
+        for server_id, socket_id, seconds in result.fallback_seconds
+    )
+    result = dataclasses.replace(
+        result, events=(), job_records=records, fallback_seconds=fallback
+    )
+    return result, lines
+
+
+def _assert_cells_render_as_before(config, cell_servers, plan=None):
+    """Every cell's lines, records and fallback dwell equal the former
+    remapped ones; returns the lines and fallback dwell of all cells."""
+    cells = build_cells(
+        [(config, cell_servers, "")], plan, config.fleet_power_budget_w
+    )
+    assert len(cells) >= 2 and cells[-1].offset > 0
+    jobs = generate_trace(config.traffic, config.seed)
+    rendered, fallback = [], []
+    for cell in cells:
+        trace = tuple(
+            job for job in jobs if job.job_id % len(cells) == cell.index
+        )
+        result, lines = _simulate_cell(cell, AGS_POLICY, trace, 1)
+        former, former_lines = _former_cell(cell, trace)
+        assert lines == former_lines
+        assert result.job_records == former.job_records
+        assert result.fallback_seconds == former.fallback_seconds
+        if cell.offset:
+            # The per-cell hash is now over global ids; nothing reads it.
+            assert result.event_log_hash != former.event_log_hash
+        rendered.extend(line for _, line in lines)
+        fallback.extend(result.fallback_seconds)
+    return rendered, fallback
+
+
+class TestOneRender:
+    """A cell's engine logs global server ids and renders each entry
+    once; the lines must stay byte-equal to the former remap-and-render
+    pass, so every merged digest holds."""
+
+    def test_churn_cells_render_as_before(self):
+        config = FleetConfig(
+            n_servers=8,
+            traffic=TrafficConfig(
+                duration_seconds=DURATION,
+                jobs_per_hour=100.0,
+                lc_fraction=0.0,
+                batch_profiles=("raytrace",),
+                batch_threads=(2,),
+            ),
+            seed=7,
+        )
+        _assert_cells_render_as_before(config, 4)
+
+    def test_budgeted_cells_render_as_before(self):
+        config = FleetConfig(
+            n_servers=4,
+            traffic=TrafficConfig(
+                duration_seconds=3600.0, jobs_per_hour=120.0, lc_fraction=0.15
+            ),
+            seed=7,
+            fleet_power_budget_w=550.0,
+        )
+        lines, _ = _assert_cells_render_as_before(config, 2)
+        assert any('"cap_throttled":true' in line for line in lines)
+
+    def test_each_entry_is_rendered_once(self, config, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return canonical_json(value)
+
+        monkeypatch.setattr(metrics, "canonical_json", counting)
+        result = run_sharded(config, n_shards=1, cell_servers=2)
+        assert len(calls) == len(result.events) > 0
+
+    def test_digest_hashes_the_lines(self, config):
+        sim = FleetSimulation(config, server_offset=3)
+        result = sim.run()
+        expected = hashlib.sha256(
+            "".join(line + "\n" for line in sim.log.lines()).encode("utf-8")
+        ).hexdigest()
+        assert sim.log.digest() == expected == result.event_log_hash
+        assert [line for _, line in sim.log.timed_lines()] == sim.log.lines()
+
+    def test_offset_shifts_every_returned_server_id(self, config):
+        local = FleetSimulation(config).run()
+        shifted = FleetSimulation(config, server_offset=3).run()
+        assert [r.server_id for r in shifted.job_records] == [
+            None if r.server_id is None else r.server_id + 3
+            for r in local.job_records
+        ]
+        assert [e.get("server_id") for e in shifted.events] == [
+            e["server_id"] + 3 if "server_id" in e else None
+            for e in local.events
+        ]
+
+
+@pytest.mark.chaos
+class TestOneRenderFaulted:
+    def test_faulted_cells_render_as_before(self, config):
+        plan = FaultPlan(
+            specs=(
+                ServerCrashFault(
+                    start_seconds=600.0, server_id=5, repair_seconds=1200.0
+                ),
+                JobKillFault(start_seconds=1800.0, job_id=3),
+                CpmStuckFault(
+                    start_seconds=300.0,
+                    socket_id=0,
+                    server_id=6,
+                    code=0,
+                    duration_seconds=900.0,
+                ),
+            )
+        )
+        lines, fallback = _assert_cells_render_as_before(config, 4, plan)
+        for kind in ("server_crash", "job_kill", "fallback_enter"):
+            assert any(f'"kind":"{kind}"' in line for line in lines), kind
+        # Server 6 sits in the second cell (offset 4): its dwell is
+        # reported under its global id.
+        assert [entry[:2] for entry in fallback] == [(6, 0)]
 
 
 @pytest.mark.chaos

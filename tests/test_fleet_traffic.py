@@ -192,3 +192,39 @@ class TestJobSpec:
             service_seconds=100.0,
         )
         assert spec.latency_critical
+
+    @staticmethod
+    def _spec(**overrides):
+        fields = dict(
+            job_id=42,
+            arrival_ns=0,
+            job_class=BATCH,
+            profile_name="raytrace",
+            n_threads=2,
+            service_seconds=600.0,
+        )
+        fields.update(overrides)
+        return JobSpec(**fields)
+
+    def test_valid_spec_builds(self):
+        assert self._spec().n_threads == 2
+
+    @pytest.mark.parametrize("n_threads", [0, -1])
+    def test_rejects_fewer_than_one_thread(self, n_threads):
+        with pytest.raises(SchedulingError, match="job 42: n_threads"):
+            self._spec(n_threads=n_threads)
+
+    @pytest.mark.parametrize(
+        "service", [-5.0, 0.0, float("nan"), float("inf")]
+    )
+    def test_rejects_non_positive_or_non_finite_service(self, service):
+        with pytest.raises(SchedulingError, match="job 42: service_seconds"):
+            self._spec(service_seconds=service)
+
+    def test_rejects_negative_arrival(self):
+        with pytest.raises(SchedulingError, match="job 42: arrival_ns"):
+            self._spec(arrival_ns=-1)
+
+    def test_rejects_unknown_job_class(self):
+        with pytest.raises(SchedulingError, match="job 42: job_class"):
+            self._spec(job_class="batchy")
