@@ -21,8 +21,9 @@ of one call::
 
 ``measure`` places the variant on one server and settles it twice there;
 ``sweep`` batches points through :class:`~repro.sim.batch.SweepRunner`,
-which settles each mode on a fresh server.  Both realize placements with
-:func:`repro.sim.batch.settle_task`.
+which settles what a fresh server per mode would (a static + undervolt
+pair on one fresh server, the firmware loop starting from the static
+settle).  Both realize placements the same way (:mod:`repro.sim.batch`).
 """
 
 from __future__ import annotations

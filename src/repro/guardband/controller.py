@@ -132,23 +132,44 @@ class GuardbandController:
         return self.fallback_reason is not None
 
     def operate(
-        self, mode: GuardbandMode, f_target: Optional[float] = None
+        self,
+        mode: GuardbandMode,
+        f_target: Optional[float] = None,
+        entry: Optional[SocketSolution] = None,
     ) -> OperatingPoint:
-        """Place the socket in ``mode`` and settle its operating point."""
+        """Place the socket in ``mode`` and settle its operating point.
+
+        ``entry`` (undervolt only) is the socket's static settle at the
+        same ``f_target`` from the same fresh state; the firmware loop
+        starts from it (see :meth:`UndervoltPolicy.converge`).  Only the
+        fault-free path takes it: with an injector installed, fallback
+        and calibration state carry across operates, so a guarded
+        settle never starts from another operate's solution.
+        """
         if not fault_injector().enabled:
             # Fault-free fast path: the exact pre-degradation behavior
             # (and arithmetic) — the zero-perturbation contract.
             if not self._calibrated:
                 self.calibrate()
-            return self._operate_mode(mode, f_target)
+            return self._operate_mode(mode, f_target, entry)
+        if entry is not None:
+            raise ValueError(
+                "entry= is fault-free only: a guarded operate settles "
+                "every mode from its own state"
+            )
         return self._operate_guarded(mode, f_target)
 
     # ------------------------------------------------------------------
     # Mode dispatch (shared by both paths)
     # ------------------------------------------------------------------
     def _operate_mode(
-        self, mode: GuardbandMode, f_target: Optional[float]
+        self,
+        mode: GuardbandMode,
+        f_target: Optional[float],
+        entry: Optional[SocketSolution] = None,
     ) -> OperatingPoint:
+        if entry is not None and mode is not GuardbandMode.UNDERVOLT:
+            raise ValueError(f"entry= applies to undervolt only, not {mode!r}")
         observability().count(
             "guardband_operate_total",
             help_text="Socket settle requests by guardband mode.",
@@ -164,7 +185,7 @@ class GuardbandController:
             )
         if mode is GuardbandMode.UNDERVOLT:
             result: UndervoltResult = self.undervolt_policy.converge(
-                self.socket, f_target
+                self.socket, f_target, entry
             )
             self._record_settle(result)
             return OperatingPoint(

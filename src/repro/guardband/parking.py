@@ -27,11 +27,16 @@ def park_voltage(config: ServerConfig) -> float:
     return config.chip.vmin(config.chip.f_min) + config.guardband.static_guardband
 
 
+def fully_gated(socket: "ProcessorSocket") -> bool:
+    """Whether every core of the socket is power gated (it parks)."""
+    return all(core.gated for core in socket.chip.cores)
+
+
 def park_if_fully_gated(
     socket: "ProcessorSocket", config: ServerConfig
 ) -> Optional["SocketSolution"]:
     """Park the socket when all its cores are gated; else return ``None``."""
-    if not all(core.gated for core in socket.chip.cores):
+    if not fully_gated(socket):
         return None
     socket.path.set_voltage(park_voltage(config))
     return socket.solve(frequencies=[config.chip.f_min] * config.chip.n_cores)

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 from ..config import ServerConfig
 from ..errors import ConvergenceError
 from .calibration import calibrated_margin
-from .parking import park_if_fully_gated
+from .parking import fully_gated, park_if_fully_gated
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..sim.socket import ProcessorSocket, SocketSolution
@@ -59,13 +59,24 @@ class UndervoltPolicy:
         self._config = config
 
     def converge(
-        self, socket: ProcessorSocket, f_target: Optional[float] = None
+        self,
+        socket: ProcessorSocket,
+        f_target: Optional[float] = None,
+        entry: Optional[SocketSolution] = None,
     ) -> UndervoltResult:
         """Run firmware ticks until the setpoint settles.
 
         Starts from the static-guardband voltage (the mode-entry state on
         real hardware) and steps down/up by whole VRM steps, at most
         :data:`MAX_STEPS_PER_TICK` per tick.
+
+        ``entry`` is this socket's static-guardband settle at the same
+        ``f_target``, made from the same fresh state with nothing run on
+        the socket since.  The loop's first, thermally settled solve is
+        that settle bit for bit, so with ``entry`` the ticks start from
+        it instead of solving it again (the rail already holds the
+        quantized static voltage; a fully gated socket's parked settle is
+        returned as it is).
         """
         chip_cfg = self._config.chip
         target = chip_cfg.f_nominal if f_target is None else f_target
@@ -73,10 +84,14 @@ class UndervoltPolicy:
         # Work against the quantized rail: the VRM can only realize grid
         # setpoints, so "zero undervolt" means the grid point at-or-above
         # the configured static voltage.
-        static_vdd = socket.path.set_voltage(self._config.static_vdd)
+        if entry is None:
+            static_vdd = socket.path.set_voltage(self._config.static_vdd)
+            parked = park_if_fully_gated(socket, self._config)
+        else:
+            static_vdd = socket.path.vrm.quantize(self._config.static_vdd)
+            parked = entry if fully_gated(socket) else None
         step = socket.path.vrm.step
 
-        parked = park_if_fully_gated(socket, self._config)
         if parked is not None:
             # Every core is power gated: no CPM is alive, so the firmware
             # cannot actively manage the rail; DVFS parks it at the lowest
@@ -88,7 +103,7 @@ class UndervoltPolicy:
                 ticks=0,
             )
 
-        solution = socket.solve(frequencies=frequencies)
+        solution = socket.solve(frequencies=frequencies) if entry is None else entry
         for tick in range(1, MAX_TICKS + 1):
             excess = self._worst_excess(socket, solution, target)
             if 0.0 <= excess < step:

@@ -15,12 +15,14 @@ that executes such grids
 Determinism
 -----------
 A task is a pure function of ``(server config, task coordinates, mode,
-seed)``: the executor always builds a *fresh* server (same die seed for
-every task — the paper measures one physical machine) and settles the
-requested mode on it, so results are bit-identical whether tasks run
-serially, in any parallel interleaving, or from cache.  Tasks that need
-their own random stream (e.g. the Fig. 9 droop-window sampling) derive it
-with :func:`derive_seed` — ``seed_root`` plus a stable task hash — so the
+seed)``: the executor always settles on *fresh* servers (same die seed
+for every task — the paper measures one physical machine), one per mode,
+or one for a static + undervolt pair whose firmware loop starts from the
+static settle, which is what a second fresh server would have solved
+first.  Results are bit-identical whether tasks run serially, in any
+parallel interleaving, or from cache.  Tasks that need their own random
+stream (e.g. the Fig. 9 droop-window sampling) derive it with
+:func:`derive_seed` — ``seed_root`` plus a stable task hash — so the
 stream no longer depends on execution order.
 """
 
@@ -52,7 +54,7 @@ from .cache import (
 )
 from .results import RunResult, SteadyState, active_mean_frequency
 from .run import build_server
-from .server import Power720Server
+from .server import Power720Server, ServerOperatingPoint
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
     from ..core.placement import Placement
@@ -291,7 +293,21 @@ def settle_task(
     placement is applied once (the server is cleared first), then every
     mode settles in turn on that same live server, so later settles see
     the thermal state the earlier ones left.  Returns one
-    :class:`SteadyState` per mode, in order.
+    :class:`SteadyState` per mode, in order.  :func:`repro.api.measure`
+    settles this way; the sweep runner settles each task on a fresh
+    server instead (:func:`_settle_mode`, :func:`_settle_mode_pair`).
+    """
+    steady = _place(server, task, runtime)
+    return [steady(server.operate(mode, task.f_target)) for mode in modes]
+
+
+def _place(
+    server: Power720Server, task: SweepTask, runtime: RuntimeModel
+) -> Callable[[ServerOperatingPoint], SteadyState]:
+    """Apply ``task``'s placement to ``server`` (cleared first).
+
+    Returns the map from a point settled on that placement to its
+    :class:`SteadyState` (runtime and active frequency included).
     """
     threads_per_core_for_runtime = 1
     if task.kind == "consolidated":
@@ -323,9 +339,8 @@ def settle_task(
         raise ValueError(f"unknown task kind {task.kind!r}")
 
     n_active = sum(s.chip.n_active_cores() for s in server.sockets)
-    states = []
-    for mode in modes:
-        point = server.operate(mode, task.f_target)
+
+    def steady(point: ServerOperatingPoint) -> SteadyState:
         frequency = active_mean_frequency(point)
         execution_time = runtime.execution_time(
             task.profile,
@@ -334,17 +349,16 @@ def settle_task(
             reference_frequency=server.config.chip.f_nominal,
             threads_per_core=threads_per_core_for_runtime,
         )
-        states.append(
-            SteadyState(
-                workload=task.profile.name,
-                mode=mode,
-                n_active_cores=n_active,
-                point=point,
-                execution_time=execution_time,
-                active_frequency=frequency,
-            )
+        return SteadyState(
+            workload=task.profile.name,
+            mode=point.mode,
+            n_active_cores=n_active,
+            point=point,
+            execution_time=execution_time,
+            active_frequency=frequency,
         )
-    return states
+
+    return steady
 
 
 def _settle_mode(
@@ -354,10 +368,34 @@ def _settle_mode(
 
     Always starting from a fresh server makes the result a pure function
     of the arguments — the property the cache and the parallel schedule
-    both rely on.
+    both rely on.  The reference for :func:`_settle_mode_pair`, and the
+    path for every mode it does not cover.
     """
     server = build_server(config, seed=seed)
     return settle_task(server, task, _runtime_model(task.runtime_params), (mode,))[0]
+
+
+def _settle_mode_pair(
+    config: ServerConfig, seed: int, task: SweepTask
+) -> Dict[str, SteadyState]:
+    """Settle STATIC and UNDERVOLT of one task on one fresh server.
+
+    Static settles first; the undervolt firmware loop then starts from
+    that static solution — its mode-entry state — instead of solving it
+    again on a second fresh server.  Each result equals
+    :func:`_settle_mode`'s for its mode bit for bit: the loop's first,
+    thermally settled solve *is* the static settle, and nothing else
+    runs on the server in between.  Fault-free only (see
+    :func:`_execute_task`).
+    """
+    server = build_server(config, seed=seed)
+    steady = _place(server, task, _runtime_model(task.runtime_params))
+    static = server.operate(GuardbandMode.STATIC, task.f_target)
+    undervolt = server.operate(GuardbandMode.UNDERVOLT, task.f_target, entry=static)
+    return {
+        GuardbandMode.STATIC.value: steady(static),
+        GuardbandMode.UNDERVOLT.value: steady(undervolt),
+    }
 
 
 def _execute_task(
@@ -370,10 +408,23 @@ def _execute_task(
     it; also the in-process path, which guarantees the two schedules
     produce bit-identical results.  ``attempt`` is unused: a settle is
     pure, so a re-run after a worker death computes the same states.
+
+    A missing STATIC + UNDERVOLT pair settles on one fresh server
+    (:func:`_settle_mode_pair`); every other mode, a lone missing mode
+    and any batch under an installed fault injector (whose fallback and
+    calibration state carry across operates) settle one fresh server
+    per mode.  Either way the states come back in the requested order.
     """
     config, seed, task, modes = payload
     start = time.perf_counter()
-    states = {mode.value: _settle_mode(config, seed, task, mode) for mode in modes}
+    fused = {GuardbandMode.STATIC, GuardbandMode.UNDERVOLT}
+    if set(modes) == fused and not fault_injector().enabled:
+        pair = _settle_mode_pair(config, seed, task)
+        states = {mode.value: pair[mode.value] for mode in modes}
+    else:
+        states = {
+            mode.value: _settle_mode(config, seed, task, mode) for mode in modes
+        }
     return states, time.perf_counter() - start
 
 

@@ -2,8 +2,8 @@
 
 Measurements themselves go through :func:`repro.api.measure` (one
 placement on one server) and :class:`repro.sim.batch.SweepRunner`
-(batched, cached grids); both realize placements with
-:func:`repro.sim.batch.settle_task`.
+(batched, cached grids); both place tasks the same way, in
+:mod:`repro.sim.batch`.
 """
 
 from __future__ import annotations

@@ -215,11 +215,27 @@ class Power720Server:
     # Operation
     # ------------------------------------------------------------------
     def operate(
-        self, mode: GuardbandMode, f_target: Optional[float] = None
+        self,
+        mode: GuardbandMode,
+        f_target: Optional[float] = None,
+        entry: Optional[ServerOperatingPoint] = None,
     ) -> ServerOperatingPoint:
-        """Settle every socket in ``mode`` and aggregate the result."""
+        """Settle every socket in ``mode`` and aggregate the result.
+
+        ``entry`` (undervolt only, fault-free only) is the static point
+        this server settled at the same ``f_target`` straight after
+        being built and placed: each socket's firmware loop starts from
+        its static solution instead of solving it again.
+        """
+        if entry is None:
+            entries = (None,) * len(self.controllers)
+        elif entry.mode is GuardbandMode.STATIC:
+            entries = tuple(point.solution for point in entry.sockets)
+        else:
+            raise ValueError(f"entry= must be a static point, not {entry.mode!r}")
         points = tuple(
-            controller.operate(mode, f_target) for controller in self.controllers
+            controller.operate(mode, f_target, solution)
+            for controller, solution in zip(self.controllers, entries)
         )
         return ServerOperatingPoint(
             mode=mode,

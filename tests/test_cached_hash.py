@@ -7,11 +7,14 @@ values must hash equal, and the cache must never travel through pickle:
 string hashes are salted per process, so a spawned worker would inherit
 a value that is wrong there.  The key-completeness checks make sure a
 placement that differs in any one field never shares a fleet settle key,
-in memory or on disk.
+in memory or on disk, and that neither a sweep point key nor a fleet
+settle key is shared by two settles that differ in one server-config
+leaf field, the mode, ``f_target`` or the die seed.
 """
 
 import copy
 import dataclasses
+import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -21,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chip.aging import AgingModel, aged_server_config
+from repro.config import ServerConfig
 from repro.core import placement as placement_module
 from repro.core.placement import Placement, ThreadGroup
 from repro.fleet import FleetConfig, engine
@@ -28,6 +33,8 @@ from repro.fleet.engine import FleetSimulation
 from repro.fleet.scheduler import FleetPolicy
 from repro.fleet.settle_cache import FleetSettleCache
 from repro.guardband import GuardbandMode
+from repro.guardband.capping import cap_walk_frequencies
+from repro.sim.batch import SweepRunner, SweepTask, config_fingerprint
 from repro.workloads import get_profile
 
 PROFILES = ("raytrace", "fft", "mcf", "bzip2")
@@ -154,10 +161,10 @@ class _KeyRecorder:
         return object()
 
 
-def _settle_key(sim, placement):
+def _settle_key(sim, placement, mode=GuardbandMode.UNDERVOLT, f_target=None):
     recorder = _KeyRecorder()
     with mock.patch.object(engine, "fleet_settle_cache", lambda: recorder):
-        sim._settle(placement, GuardbandMode.UNDERVOLT)
+        sim._settle(placement, mode, f_target)
     (key,) = recorder.keys
     return key
 
@@ -217,4 +224,137 @@ class TestSettleKeyCompleteness:
         assert (
             FleetSettleCache._file_name(twin_key)
             == FleetSettleCache._file_name(key)
+        )
+
+
+# ----------------------------------------------------------------------
+# Key completeness: the rest of the key (server config, mode, f_target)
+# ----------------------------------------------------------------------
+def _leaves(value, path=()):
+    """``(path, value)`` of every non-dataclass field, depth first."""
+    for field in dataclasses.fields(value):
+        leaf = getattr(value, field.name)
+        if dataclasses.is_dataclass(leaf):
+            yield from _leaves(leaf, path + (field.name,))
+        else:
+            yield path + (field.name,), leaf
+
+
+def _with_leaf(value, path, leaf):
+    head, *rest = path
+    if rest:
+        leaf = _with_leaf(getattr(value, head), rest, leaf)
+    return dataclasses.replace(value, **{head: leaf})
+
+
+def _nudged(leaf):
+    """A different, still valid value of the same type."""
+    if isinstance(leaf, str):
+        return "flexwatts" if leaf == "power7" else "power7"
+    if isinstance(leaf, int):
+        return leaf + 1
+    if isinstance(leaf, float):
+        return math.nextafter(leaf, math.inf)
+    raise TypeError(f"no nudge for a {type(leaf).__name__} leaf")
+
+
+def _one_leaf_variants(config):
+    return {
+        ".".join(path): _with_leaf(config, path, _nudged(leaf))
+        for path, leaf in _leaves(config)
+    }
+
+
+server_configs = st.builds(
+    lambda backend, age: (
+        ServerConfig(pdn_backend=backend)
+        if age is None
+        else aged_server_config(ServerConfig(pdn_backend=backend), AgingModel(), age)
+    ),
+    st.sampled_from(["power7", "flexwatts"]),
+    st.none() | st.floats(min_value=0.5, max_value=10.0),
+)
+
+MENU = cap_walk_frequencies(ServerConfig())
+f_targets = st.none() | st.sampled_from(MENU)
+adaptive_modes = st.sampled_from([GuardbandMode.UNDERVOLT, GuardbandMode.OVERCLOCK])
+KEY_PLACEMENT = Placement(
+    groups=(
+        (ThreadGroup(get_profile("raytrace"), 4),),
+        (ThreadGroup(get_profile("fft"), 2),),
+    ),
+    keep_on=(4, 2),
+)
+
+
+def _sweep_keys(config, mode, f_target, seed=7):
+    """The sweep runner's point key of every mode a task needs."""
+    task = SweepTask.scheduled(
+        KEY_PLACEMENT, get_profile("raytrace"), mode, f_target=f_target
+    )
+    return SweepRunner()._point_keys(config_fingerprint(config), task, seed)
+
+
+def _fleet_key(config, mode, f_target, seed=7):
+    sim = FleetSimulation(
+        FleetConfig(n_servers=1, server_config=config, seed=seed), trace=()
+    )
+    return _settle_key(sim, KEY_PLACEMENT, mode, f_target)
+
+
+def _assert_keys_apart(key, other, what):
+    assert key != other, what
+    assert FleetSettleCache._file_name(key) != FleetSettleCache._file_name(other), what
+
+
+class TestRestOfKeyCompleteness:
+    def test_every_leaf_is_nudged(self):
+        variants = _one_leaf_variants(ServerConfig())
+        assert len(variants) == len(list(_leaves(ServerConfig()))) > 40
+        for name, variant in variants.items():
+            assert variant != ServerConfig(), name
+
+    @settings(max_examples=15, deadline=None)
+    @given(server_configs, adaptive_modes, f_targets)
+    def test_one_config_leaf_never_shares_a_key(self, config, mode, f_target):
+        sweep = _sweep_keys(config, mode, f_target)
+        fleet = _fleet_key(config, mode, f_target)
+        for name, variant in _one_leaf_variants(config).items():
+            variant_sweep = _sweep_keys(variant, mode, f_target)
+            for mode_value, key in sweep.items():
+                assert variant_sweep[mode_value] != key, (name, mode_value)
+            _assert_keys_apart(_fleet_key(variant, mode, f_target), fleet, name)
+
+    @settings(max_examples=15, deadline=None)
+    @given(server_configs)
+    def test_mode_and_f_target_never_share_a_key(self, config):
+        seen_sweep = {}
+        seen_fleet = {}
+        for f_target in (None,) + MENU:
+            undervolt = _sweep_keys(config, GuardbandMode.UNDERVOLT, f_target)
+            overclock = _sweep_keys(config, GuardbandMode.OVERCLOCK, f_target)
+            # The static half is shared on purpose: it does not depend on
+            # which adaptive mode it is paired against.
+            assert undervolt["static"] == overclock["static"]
+            for key in (
+                undervolt["static"], undervolt["undervolt"], overclock["overclock"]
+            ):
+                assert key not in seen_sweep, (f_target, seen_sweep.get(key))
+                seen_sweep[key] = f_target
+            for mode in GuardbandMode:
+                key = _fleet_key(config, mode, f_target)
+                assert key not in seen_fleet, (mode, f_target, seen_fleet.get(key))
+                seen_fleet[key] = (mode, f_target)
+        names = {FleetSettleCache._file_name(key) for key in seen_fleet}
+        assert len(names) == len(seen_fleet)
+
+    @given(server_configs, adaptive_modes, f_targets)
+    @settings(max_examples=15, deadline=None)
+    def test_the_die_seed_never_shares_a_key(self, config, mode, f_target):
+        for mode_value, key in _sweep_keys(config, mode, f_target, seed=7).items():
+            assert _sweep_keys(config, mode, f_target, seed=11)[mode_value] != key
+        _assert_keys_apart(
+            _fleet_key(config, mode, f_target, seed=11),
+            _fleet_key(config, mode, f_target, seed=7),
+            "seed",
         )

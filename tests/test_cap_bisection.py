@@ -7,10 +7,18 @@ above the current settle's slowest clock were passed over unprobed) and
 a best-effort floor when nothing fits — so this suite sweeps caps across
 the *entire* table for both adaptive guardband modes and demands the
 exact same selected operating point, epoch for epoch.
+
+Bisection is only sound if settled server power never rises as the
+frequency ceiling steps down the menu.  Every probe's undervolt loop
+starts from its own ``f_target`` static settle, so the precondition is
+checked for both halves of every probe, across both PDN backends, aged
+silicon and several die seeds.
 """
 
 import pytest
 
+from repro.chip.aging import AgingModel, aged_server_config
+from repro.config import ServerConfig
 from repro.fleet import FleetConfig, TrafficConfig
 from repro.fleet.engine import FleetSimulation, clear_fleet_memos
 from repro.fleet.settle_cache import configure_fleet_settle_cache
@@ -145,3 +153,70 @@ class TestBisectionMatchesLinearWalk:
         # 1 uncapped + ceil(log2(n)) probes + 1 cached re-settle.
         n = len(table)
         assert len(counted) <= 2 + n.bit_length()
+
+
+#: (PDN backend, age in years or None, die seed) of each checked server.
+CHIPS = [
+    ("power7", None, 7),
+    ("power7", None, 11),
+    ("power7", None, 19),
+    ("flexwatts", None, 7),
+    ("flexwatts", None, 11),
+    ("flexwatts", None, 19),
+    ("power7", 6.0, 11),
+    ("flexwatts", 6.0, 7),
+    ("flexwatts", 10.0, 19),
+]
+
+
+def _chip_sim(backend, age_years, seed) -> FleetSimulation:
+    server_config = ServerConfig(pdn_backend=backend)
+    if age_years is not None:
+        server_config = aged_server_config(server_config, AgingModel(), age_years)
+    return FleetSimulation(
+        FleetConfig(
+            n_servers=1,
+            traffic=TrafficConfig(duration_seconds=3600.0, jobs_per_hour=10.0),
+            seed=seed,
+            server_config=server_config,
+        ),
+        trace=(),
+    )
+
+
+#: A one-socket placement: socket 1 is fully gated and parks.
+PARKED = Placement(
+    groups=((ThreadGroup(get_profile("fft"), 5),), ()),
+    keep_on=(5, 0),
+    threads_per_core=1,
+)
+
+
+@pytest.mark.parametrize(
+    "mode", [GuardbandMode.UNDERVOLT, GuardbandMode.OVERCLOCK]
+)
+@pytest.mark.parametrize(
+    "backend, age_years, seed",
+    CHIPS,
+    ids=[f"{b}-{'new' if a is None else f'{a:g}y'}-seed{s}" for b, a, s in CHIPS],
+)
+class TestCeilingPrecondition:
+    def test_power_never_rises_as_the_ceiling_drops(
+        self, placement, mode, backend, age_years, seed
+    ):
+        sim = _chip_sim(backend, age_years, seed)
+        menu = sim._cap_walk_frequencies()
+        for where in (placement, PARKED):
+            settles = [sim._settle(where, mode)] + [
+                sim._settle(where, mode, frequency) for frequency in menu
+            ]
+            for half in ("static", "adaptive"):
+                powers = [
+                    getattr(result, half).point.server_power for result in settles
+                ]
+                rises = [
+                    (ceiling, before, after)
+                    for ceiling, before, after in zip(menu, powers, powers[1:])
+                    if after > before
+                ]
+                assert not rises, (half, rises)
