@@ -2,7 +2,10 @@
 
 Every benchmark regenerates one of the paper's tables or figures and
 appends a paper-vs-measured comparison to a session report, printed in the
-terminal summary (so it survives pytest's output capturing).
+terminal summary (so it survives pytest's output capturing).  A figure
+benchmark builds its figure through the session :class:`FigureSet` and
+reports and asserts that figure's claims from
+``repro.analysis.claims``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from typing import List
 
 import pytest
 
+from repro.analysis.claims import FigureSet, claims_of
 from repro.sim.batch import SweepRunner, set_default_runner
 from repro.sim.cache import OperatingPointCache
 
@@ -26,6 +30,20 @@ _RUNNER = SweepRunner(cache=OperatingPointCache())
 def report():
     """Append-only list of report lines, printed at session end."""
     return _REPORT
+
+
+@pytest.fixture(scope="session")
+def claim_figures():
+    """Every figure the claims read, each built at most once per session."""
+    return FigureSet()
+
+
+def check_claims_of(report, figure_set, figure):
+    """Append the verdict of every claim on ``figure``; assert they hold."""
+    verdicts = [claim.check(figure_set) for claim in claims_of(figure)]
+    report.extend(f"  {verdict}" for verdict in verdicts)
+    failed = [str(verdict) for verdict in verdicts if not verdict.passed]
+    assert not failed, failed
 
 
 @pytest.fixture(scope="session", autouse=True)

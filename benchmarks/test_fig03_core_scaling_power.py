@@ -1,17 +1,14 @@
 """Fig. 3 — chip power and EDP vs active cores (raytrace, undervolting).
 
-Paper: 13% power saving at one active core decaying to ~3% at eight;
-static chip power rising from ~72 W to ~140 W; EDP improvement largest at
-low core counts.
+The power saving decays with active cores while static chip power rises;
+the paper's values and bands are the ``fig3.*`` claims.
 """
 
-from conftest import run_once
-
-from repro.analysis import figures
+from conftest import check_claims_of, run_once
 
 
-def test_fig03_core_scaling_power(benchmark, report):
-    series = run_once(benchmark, figures.fig3_core_scaling_power)
+def test_fig03_core_scaling_power(benchmark, report, claim_figures):
+    series = run_once(benchmark, claim_figures.__getitem__, "fig3")
 
     report.append("")
     report.append("Fig. 3 — raytrace power/EDP vs active cores (undervolt mode)")
@@ -25,13 +22,4 @@ def test_fig03_core_scaling_power(benchmark, report):
             f"{n:>5} {series.static_power[i]:>9.1f} {series.adaptive_power[i]:>10.1f} "
             f"{series.power_saving_percent(i):>9.1f} {edp_gain:>10.1f}"
         )
-    report.append(
-        "paper: saving 13% @1 core -> 3% @8 cores; static power ~72->140 W"
-    )
-    report.append(
-        f"measured: saving {series.power_saving_percent(0):.1f}% @1 -> "
-        f"{series.power_saving_percent(7):.1f}% @8; "
-        f"static {series.static_power[0]:.0f}->{series.static_power[7]:.0f} W"
-    )
-
-    assert series.power_saving_percent(0) > series.power_saving_percent(7)
+    check_claims_of(report, claim_figures, "fig3")

@@ -1,32 +1,28 @@
 """Fig. 5 — workload heterogeneity of the improvements across core counts.
 
-Paper (Sec. 3.3): one-core power saving 10.7-14.8% (avg 13.3%), dropping to
-avg 6.4% at eight cores with magnified spread; frequency boost up to 9.6%
-avg at one core, 4-9% spread at eight.
+Regenerates the five workloads Fig. 5 draws; the Sec. 3.3 averages the
+paper quotes cover all 17 scalable workloads, which the
+``fig5_undervolt.*`` and ``fig5_overclock.*`` claims measure.
 """
 
 import pytest
-from conftest import run_once
+from conftest import check_claims_of, run_once
 
 from repro.analysis import figures
 from repro.guardband import GuardbandMode
 
 
 @pytest.mark.parametrize(
-    "mode,paper_note",
+    "mode,claims",
     [
-        (
-            GuardbandMode.UNDERVOLT,
-            "paper: avg 13.3% @1 / 10% @2 / 6.4% @8; spread magnifies",
-        ),
-        (
-            GuardbandMode.OVERCLOCK,
-            "paper: avg 9.6% @1; radix/ocean_cp hold ~9% @8, others drop to ~4%",
-        ),
+        (GuardbandMode.UNDERVOLT, "fig5_undervolt"),
+        (GuardbandMode.OVERCLOCK, "fig5_overclock"),
     ],
     ids=["power_saving", "frequency_boost"],
 )
-def test_fig05_workload_heterogeneity(benchmark, report, mode, paper_note):
+def test_fig05_workload_heterogeneity(
+    benchmark, report, claim_figures, mode, claims
+):
     series = run_once(benchmark, figures.fig5_workload_heterogeneity, mode)
 
     label = "power saving" if mode is GuardbandMode.UNDERVOLT else "frequency boost"
@@ -41,10 +37,6 @@ def test_fig05_workload_heterogeneity(benchmark, report, mode, paper_note):
         f"{'average':>12} "
         + " ".join(f"{series.average(i):>6.1f}" for i in range(len(series.core_counts)))
     )
-    report.append(paper_note)
-    report.append(
-        f"measured: avg {series.average(0):.1f}% @1 -> {series.average(7):.1f}% @8; "
-        f"spread {series.spread(0):.1f} -> {series.spread(7):.1f}"
-    )
+    check_claims_of(report, claim_figures, claims)
 
     assert series.spread(7) > series.spread(0)

@@ -1,18 +1,16 @@
 """Fig. 14 — borrowing's power & energy improvement, full catalog, 8 cores.
 
-Paper: 6.2% average power and 7.7% average energy reduction; lu_cb up to
-12.7%; communication-heavy lu_ncb/radiosity lose >20% performance and
-regress on energy; bandwidth-bound radix/zeusmp/lbm/fft/GemsFDTD gain
-50-171% energy from memory-contention relief (sometimes at higher power).
+Communication-heavy lu_ncb/radiosity lose performance and regress on
+energy; bandwidth-bound radix/zeusmp/lbm/fft/GemsFDTD gain energy from
+memory-contention relief (sometimes at higher power).  The paper's values
+and bands are the ``fig14.*`` claims.
 """
 
-from conftest import run_once
-
-from repro.analysis import figures
+from conftest import check_claims_of, run_once
 
 
-def test_fig14_borrowing_energy(benchmark, report):
-    result = run_once(benchmark, figures.fig14_borrowing_energy)
+def test_fig14_borrowing_energy(benchmark, report, claim_figures):
+    result = run_once(benchmark, claim_figures.__getitem__, "fig14")
 
     report.append("")
     report.append("Fig. 14 — loadline borrowing at eight busy cores (full catalog)")
@@ -27,17 +25,4 @@ def test_fig14_borrowing_energy(benchmark, report):
             f"{r.power_improvement_percent:>6.1f} {r.energy_improvement_percent:>7.1f} "
             f"{r.performance_change_percent:>7.1f}"
         )
-    report.append(
-        "paper: avg power -6.2%, avg energy +7.7%; losers lu_ncb/radiosity; "
-        "winners radix/zeusmp/lbm/fft/GemsFDTD (+50-171%)"
-    )
-    report.append(
-        f"measured: avg power {result.mean_power_improvement:+.1f}%, avg energy "
-        f"{result.mean_energy_improvement:+.1f}%; losers "
-        + "/".join(r.workload for r in result.rows[:2])
-        + "; winners "
-        + "/".join(r.workload for r in result.rows[-5:])
-    )
-
-    assert result.mean_energy_improvement > 4.0
-    assert {r.workload for r in result.rows[:3]} >= {"lu_ncb", "radiosity"}
+    check_claims_of(report, claim_figures, "fig14")

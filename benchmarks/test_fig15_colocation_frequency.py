@@ -1,17 +1,15 @@
 """Fig. 15 — colocation's effect on the critical workload's frequency.
 
-Paper: coremark alone runs at 4517 MHz; packing lu_cb threads alongside
-drags it to 4433 MHz, while mcf threads raise it — a >100 MHz swing from
-scheduling decisions alone.
+Packing lu_cb threads alongside coremark drags its frequency down while
+mcf threads raise it — a swing from scheduling decisions alone.  The
+paper's values and bands are the ``fig15.*`` claims.
 """
 
-from conftest import run_once
-
-from repro.analysis import figures
+from conftest import check_claims_of, run_once
 
 
-def test_fig15_colocation_frequency(benchmark, report):
-    points = run_once(benchmark, figures.fig15_colocation_frequency)
+def test_fig15_colocation_frequency(benchmark, report, claim_figures):
+    points = run_once(benchmark, claim_figures.__getitem__, "fig15")
 
     report.append("")
     report.append("Fig. 15 — coremark frequency across <n_coremark, n_other> mixes")
@@ -25,12 +23,4 @@ def test_fig15_colocation_frequency(benchmark, report):
                 for p in row
             )
         )
-    freqs = [p.coremark_frequency for p in points]
-    solo = [p for p in points if p.n_other == 0][0].coremark_frequency
-    report.append("paper: solo 4517 MHz; lu_cb-heavy 4433 MHz; span >100 MHz")
-    report.append(
-        f"measured: solo {solo/1e6:.0f} MHz; span "
-        f"{(max(freqs)-min(freqs))/1e6:.0f} MHz"
-    )
-
-    assert max(freqs) - min(freqs) > 100e6
+    check_claims_of(report, claim_figures, "fig15")

@@ -1,16 +1,14 @@
 """Fig. 16 — the MIPS-based adaptive-frequency predictor.
 
-Paper: one linear model over all stressed workload mixes predicts the
-settled frequency with 0.3% RMSE.
+One linear model over all stressed workload mixes predicts the settled
+frequency; the paper's values and bands are the ``fig16.*`` claims.
 """
 
-from conftest import run_once
-
-from repro.analysis import figures
+from conftest import check_claims_of, run_once
 
 
-def test_fig16_mips_predictor(benchmark, report):
-    result = run_once(benchmark, figures.fig16_mips_predictor)
+def test_fig16_mips_predictor(benchmark, report, claim_figures):
+    result = run_once(benchmark, claim_figures.__getitem__, "fig16")
 
     samples = sorted(result.samples, key=lambda s: s.chip_mips)
     report.append("")
@@ -21,11 +19,8 @@ def test_fig16_mips_predictor(benchmark, report):
             f"  {s.workload:>15}: {s.chip_mips:>8.0f} MIPS -> measured "
             f"{s.frequency/1e6:.0f} MHz, predicted {predicted/1e6:.0f} MHz"
         )
-    report.append("paper: linear fit, RMSE 0.3%")
     report.append(
-        f"measured: RMSE {result.relative_rmse*100:.2f}% over "
-        f"{len(result.samples)} workloads "
+        f"linear fit over {len(result.samples)} workloads "
         f"(slope {result.predictor.slope:.0f} Hz/MIPS)"
     )
-
-    assert result.relative_rmse < 0.006
+    check_claims_of(report, claim_figures, "fig16")

@@ -1,13 +1,14 @@
 """Markdown report generator: the whole evaluation in one document.
 
-:func:`generate_report` runs every figure builder and renders a
-self-contained markdown report with paper-vs-measured tables — the
-programmatic sibling of the hand-annotated ``EXPERIMENTS.md``.  Exposed on
-the CLI as ``python -m repro report`` (printed to stdout; redirect to keep
-it).
+:func:`generate_report` builds every figure the claims table reads, renders
+each figure's series and then its claim rows (paper | band | measured |
+verdict) from :mod:`repro.analysis.claims` — the programmatic sibling of
+the hand-annotated ``EXPERIMENTS.md``.  Exposed on the CLI as
+``python -m repro report`` (printed to stdout; redirect to keep it).
 
-Builders are re-run fresh, so the report always reflects the current
-configuration and code — useful after modifying ``repro.config`` defaults.
+Figures are built fresh for the given configuration, so the report always
+reflects the current configuration and code — useful after modifying
+``repro.config`` defaults.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..config import ServerConfig
-from ..guardband import GuardbandMode
-from . import figures
+from .claims import FigureSet, claims_of
+from .figures import FIG5_WORKLOADS
 
 
 def generate_report(
@@ -24,22 +25,33 @@ def generate_report(
     progress: Optional[Callable[[str], None]] = None,
 ) -> str:
     """Run the full evaluation and render the markdown report."""
+    figure_set = FigureSet(config, progress)
     lines: List[str] = []
-
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
 
     def emit(text: str = "") -> None:
         lines.append(text)
+
+    def claims(*keys: str) -> None:
+        verdicts = [claim.check(figure_set) for key in keys for claim in claims_of(key)]
+        emit()
+        emit("| claim | paper | band | measured | verdict |")
+        emit("|---|---|---|---|---|")
+        for v in verdicts:
+            emit(
+                f"| {v.claim.quantity} | {v.claim.paper} | {v.claim.band} "
+                f"| {v.measured:.2f} | {'ok' if v.passed else '**FAIL**'} |"
+            )
+        for v in verdicts:
+            if v.claim.deviation:
+                emit()
+                emit(f"Deviation ({v.claim.quantity}): {v.claim.deviation}")
 
     emit("# Evaluation report — simulated POWER7+ adaptive guardbanding")
     emit()
     emit("Generated by `repro.analysis.report.generate_report`; every series")
     emit("below was measured fresh on the current configuration.")
 
-    note("Fig. 3")
-    fig3 = figures.fig3_core_scaling_power(config)
+    fig3 = figure_set["fig3"]
     emit()
     emit("## Fig. 3 — raytrace power vs active cores (undervolting)")
     emit()
@@ -50,11 +62,9 @@ def generate_report(
             f"| {n} | {fig3.static_power[i]:.1f} | {fig3.adaptive_power[i]:.1f} "
             f"| {fig3.power_saving_percent(i):.1f} |"
         )
-    emit()
-    emit("Paper: 13% saving at one core decaying to ~3% at eight.")
+    claims("fig3")
 
-    note("Fig. 4")
-    fig4 = figures.fig4_core_scaling_frequency(config)
+    fig4 = figure_set["fig4"]
     emit()
     emit("## Fig. 4 — lu_cb frequency vs active cores (overclocking)")
     emit()
@@ -66,45 +76,43 @@ def generate_report(
             f"| {fig4.frequency_boost_percent(i):.1f} "
             f"| {fig4.speedup_percent(i):.1f} |"
         )
-    emit()
-    emit("Paper: boost 10% -> 4%, speedup 8% -> 3%.")
+    claims("fig4")
 
-    note("Fig. 5")
     emit()
     emit("## Fig. 5 — workload heterogeneity")
-    for mode, label in (
-        (GuardbandMode.UNDERVOLT, "power saving"),
-        (GuardbandMode.OVERCLOCK, "frequency boost"),
+    for key, label in (
+        ("fig5_undervolt", "power saving"),
+        ("fig5_overclock", "frequency boost"),
     ):
-        fig5 = figures.fig5_workload_heterogeneity(mode, config)
+        fig5 = figure_set[key]
         emit()
         emit(f"### {label} (%)")
         emit()
         header = "| workload | " + " | ".join(str(n) for n in fig5.core_counts) + " |"
         emit(header)
         emit("|" + "---|" * (len(fig5.core_counts) + 1))
-        for workload, values in fig5.improvements.items():
+        for workload in FIG5_WORKLOADS:
+            values = fig5.improvements[workload]
             emit(
                 f"| {workload} | " + " | ".join(f"{v:.1f}" for v in values) + " |"
             )
+    claims("fig5_undervolt", "fig5_overclock")
 
-    note("Fig. 6")
-    fig6 = figures.fig6_cpm_voltage_mapping(config)
+    fig6 = figure_set["fig6"]
     emit()
     emit("## Fig. 6 — CPM-to-voltage mapping")
     emit()
     emit(
-        f"Measured {fig6.mv_per_bit:.1f} mV per CPM bit "
-        f"(r² = {fig6.nominal_fit.r_squared:.3f}); paper: ~21 mV/bit."
-    )
-    emit(
         "Per-core sensitivity (mV/bit): "
         + ", ".join(f"{s:.1f}" for s in fig6.core_sensitivity_mv)
     )
+    claims("fig6")
 
-    note("Fig. 9")
-    fig9 = figures.fig9_drop_decomposition(config, workloads=("raytrace",))
-    series = fig9["raytrace"]
+    emit()
+    emit("## Fig. 7 — per-core voltage drop vs active cores")
+    claims("fig7")
+
+    series = figure_set["fig9"]["raytrace"]
     emit()
     emit("## Fig. 9 — drop decomposition (raytrace, % of nominal)")
     emit()
@@ -115,11 +123,13 @@ def generate_report(
             f"| {n} | {series.loadline[i]:.2f} | {series.ir_drop[i]:.2f} "
             f"| {series.typical_didt[i]:.2f} | {series.worst_didt[i]:.2f} |"
         )
-    emit()
-    emit("Paper: passive dominates and grows; typical noise shrinks.")
+    claims("fig9")
 
-    note("Fig. 12/13")
-    fig12 = figures.fig12_borrowing_scaling(config)
+    emit()
+    emit("## Fig. 10 — passive drop vs the two optimization modes")
+    claims("fig10")
+
+    fig12 = figure_set["fig12"]
     emit()
     emit("## Fig. 12 — loadline borrowing (raytrace)")
     emit()
@@ -131,19 +141,15 @@ def generate_report(
             f"| {fig12.borrowing_undervolt_mv[i]:.1f} "
             f"| {fig12.borrowing_gain_percent(i):.1f} |"
         )
-    emit()
-    emit("Paper: gains 1.6 / 4.2 / 8.5% at 2 / 4 / 8 cores.")
+    claims("fig12")
 
-    note("Fig. 14")
-    fig14 = figures.fig14_borrowing_energy(config)
+    emit()
+    emit("## Fig. 13 — borrowing vs baseline, 17 scalable workloads")
+    claims("fig13")
+
+    fig14 = figure_set["fig14"]
     emit()
     emit("## Fig. 14 — borrowing power & energy, full catalog")
-    emit()
-    emit(
-        f"Mean power improvement {fig14.mean_power_improvement:+.1f}%, mean "
-        f"energy improvement {fig14.mean_energy_improvement:+.1f}% "
-        "(paper: +6.2% / +7.7%)."
-    )
     emit()
     emit("| workload | ΔP % | ΔE % |")
     emit("|---|---|---|")
@@ -152,19 +158,17 @@ def generate_report(
             f"| {row.workload} | {row.power_improvement_percent:+.1f} "
             f"| {row.energy_improvement_percent:+.1f} |"
         )
+    claims("fig14")
 
-    note("Fig. 16")
-    fig16 = figures.fig16_mips_predictor(config)
+    emit()
+    emit("## Fig. 15 — colocation frequency effects")
+    claims("fig15")
+
     emit()
     emit("## Fig. 16 — MIPS-based frequency predictor")
-    emit()
-    emit(
-        f"RMSE {fig16.relative_rmse*100:.2f}% over {len(fig16.samples)} "
-        "workloads (paper: 0.3%)."
-    )
+    claims("fig16")
 
-    note("Fig. 17")
-    fig17 = figures.fig17_websearch_qos(config)
+    fig17 = figure_set["fig17"]
     emit()
     emit("## Fig. 17 — WebSearch QoS")
     emit()
@@ -175,11 +179,6 @@ def generate_report(
             f"| {level} | {fig17.frequencies[level]/1e6:.0f} "
             f"| {fig17.violation_rates[level]*100:.1f} |"
         )
-    emit()
-    emit(
-        f"Adaptive mapping escapes the heavy colocation and improves mean "
-        f"p90 by {fig17.tail_improvement_percent:.1f}% "
-        "(paper: 5.2% tail improvement)."
-    )
+    claims("fig17")
     emit()
     return "\n".join(lines)

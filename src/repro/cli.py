@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands.add_parser(
         "selfcheck",
         parents=common,
-        help="validate the model against the paper's calibration anchors",
+        help="check the model against every paper claim (analysis/claims.py)",
     )
 
     commands.add_parser(
@@ -928,15 +928,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    from .analysis.selfcheck import run_selfcheck
+    from .analysis.claims import check_claims
 
-    report = run_selfcheck(progress=lambda msg: print(f"  measuring {msg}..."))
+    verdicts = check_claims(progress=lambda msg: print(f"  measuring {msg}..."))
     print()
-    for check in report.checks:
-        print(check)
+    for verdict in verdicts:
+        print(verdict)
+    passed = all(verdict.passed for verdict in verdicts)
     print()
-    print("SELFCHECK PASSED" if report.passed else "SELFCHECK FAILED")
-    return 0 if report.passed else 1
+    print("SELFCHECK PASSED" if passed else "SELFCHECK FAILED")
+    return 0 if passed else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
