@@ -2,9 +2,9 @@
 
 Every benchmark regenerates one of the paper's tables or figures and
 appends a paper-vs-measured comparison to a session report, printed in the
-terminal summary (so it survives pytest's output capturing).  A figure
-benchmark builds its figure through the session :class:`FigureSet` and
-reports and asserts that figure's claims from
+terminal summary (so it survives pytest's output capturing).  The figure
+benchmark (``test_figures.py``) builds each figure through the session
+:class:`FigureSet` and reports and asserts that figure's claims from
 ``repro.analysis.claims``.
 """
 
@@ -14,7 +14,8 @@ from typing import List
 
 import pytest
 
-from repro.analysis.claims import FigureSet, claims_of
+from repro.analysis.claims import claims_of
+from repro.analysis.figures import FigureSet
 from repro.sim.batch import SweepRunner, set_default_runner
 from repro.sim.cache import OperatingPointCache
 

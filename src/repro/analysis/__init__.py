@@ -1,8 +1,10 @@
 """Analysis layer: metrics, fits, and per-figure series builders.
 
-Every table/figure of the paper's evaluation has a builder here that
-returns plain data (dataclasses of lists) — the benchmarks print them, the
-examples plot or tabulate them, and EXPERIMENTS.md quotes them.
+Every paper figure is one entry of :data:`repro.analysis.figures.FIGURES`
+(title, builder, table); ``repro figure``/``export``/``report``, the
+claims table and the figure benchmarks all read it.  Fig. 5 is
+``fig5_undervolt`` and ``fig5_overclock``.  Builders return plain data
+(dataclasses of lists), which the examples plot and EXPERIMENTS.md quotes.
 """
 
 from .fitting import LinearFit, fit_linear

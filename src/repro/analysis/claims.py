@@ -6,68 +6,21 @@ measure it; ordering claims ("decays", "grows") measure the ordering's
 margin, so their band is a sign.  ``repro selfcheck``, ``repro report``,
 ``tests/test_paper_claims.py`` and the figure benchmarks all read this
 table, so a recalibration shows up here as a claim moving toward the
-paper or away from it.  Nothing under ``repro.analysis.figures*`` imports
-this module.
+paper or away from it.  The figures a claim reads are the entries of
+:data:`repro.analysis.figures.FIGURES`; nothing under
+``repro.analysis.figures*`` imports this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..config import ServerConfig
-from ..guardband import GuardbandMode
-from ..workloads import SCALABLE_BENCHMARKS
-from . import figures
-
-#: Figure key -> (progress label, builder for one configuration).  Each
-#: builder runs with its defaults, except Fig. 5, which covers all 17
-#: scalable workloads as Sec. 3.3's averages do.
-FIGURES: Dict[str, Tuple[str, Callable[[Optional[ServerConfig]], Any]]] = {
-    "fig3": ("Fig. 3 core scaling (raytrace)", figures.fig3_core_scaling_power),
-    "fig4": ("Fig. 4 core scaling (lu_cb)", figures.fig4_core_scaling_frequency),
-    "fig5_undervolt": ("Fig. 5 power saving (17 scalable workloads)", partial(
-        figures.fig5_workload_heterogeneity, GuardbandMode.UNDERVOLT,
-        workloads=SCALABLE_BENCHMARKS)),
-    "fig5_overclock": ("Fig. 5 frequency boost (17 scalable workloads)", partial(
-        figures.fig5_workload_heterogeneity, GuardbandMode.OVERCLOCK,
-        workloads=SCALABLE_BENCHMARKS)),
-    "fig6": ("Fig. 6 CPM sensitivity", figures.fig6_cpm_voltage_mapping),
-    "fig7": ("Fig. 7 voltage drop scaling", figures.fig7_voltage_drop_scaling),
-    "fig9": ("Fig. 9 drop decomposition", figures.fig9_drop_decomposition),
-    "fig10": ("Fig. 10 passive drop", figures.fig10_passive_drop_correlation),
-    "fig12": ("Fig. 12 loadline borrowing (raytrace)", figures.fig12_borrowing_scaling),
-    "fig13": ("Fig. 13 borrowing, 17 workloads", figures.fig13_borrowing_all_workloads),
-    "fig14": ("Fig. 14 borrowing energy, full catalog", figures.fig14_borrowing_energy),
-    "fig15": ("Fig. 15 colocation span", figures.fig15_colocation_frequency),
-    "fig16": ("Fig. 16 MIPS predictor", figures.fig16_mips_predictor),
-    "fig17": ("Fig. 17 WebSearch QoS", figures.fig17_websearch_qos),
-}
-
-
-class FigureSet:
-    """The figures of one configuration, each built on first use and kept."""
-
-    def __init__(
-        self,
-        config: Optional[ServerConfig] = None,
-        progress: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        self.config = config
-        self.progress = progress
-        self._built: Dict[str, Any] = {}
-
-    def __getitem__(self, key: str) -> Any:
-        if key not in self._built:
-            label, build = FIGURES[key]
-            if self.progress is not None:
-                self.progress(label)
-            self._built[key] = build(self.config)
-        return self._built[key]
+from .figures import FigureSet
 
 
 @dataclass(frozen=True)
@@ -101,7 +54,7 @@ class Claim:
 
     @property
     def figure(self) -> str:
-        """The :data:`FIGURES` key this claim reads."""
+        """The :data:`~repro.analysis.figures.FIGURES` key this claim reads."""
         return self.id.split(".")[0]
 
     @property

@@ -1,9 +1,10 @@
 """Machine-readable export of the figure data.
 
-``python -m repro export fig3`` (or :func:`export_figure`) emits one
-figure's regenerated series as JSON — the bridge to whatever plotting
-stack a user prefers.  The JSON mirrors the builder dataclasses: keys are
-field names, series are lists, nothing is pre-formatted.
+``python -m repro export fig3`` (or :func:`export_figure`) emits the data
+of one :data:`~repro.analysis.figures.FIGURES` entry as JSON — the bridge
+to whatever plotting stack a user prefers.  The JSON mirrors the builder
+dataclasses: keys are field names, series are lists, nothing is
+pre-formatted.
 """
 
 from __future__ import annotations
@@ -15,11 +16,7 @@ from typing import Any, Dict, Optional
 from ..config import ServerConfig
 from ..errors import ReproError
 from ..guardband import GuardbandMode
-from . import figures
-
-#: Figures the exporter understands.
-EXPORTABLE = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10",
-              "fig12", "fig13", "fig14", "fig15", "fig16", "fig17")
+from .figures import FIGURES
 
 
 def _jsonable(value: Any) -> Any:
@@ -54,33 +51,9 @@ def _jsonable(value: Any) -> Any:
 
 def figure_data(name: str, config: Optional[ServerConfig] = None) -> Dict[str, Any]:
     """Regenerate one figure and return its data as plain structures."""
-    if name not in EXPORTABLE:
-        raise ReproError(
-            f"unknown figure {name!r}; exportable: {', '.join(EXPORTABLE)}"
-        )
-    builders = {
-        "fig3": lambda: figures.fig3_core_scaling_power(config),
-        "fig4": lambda: figures.fig4_core_scaling_frequency(config),
-        "fig5": lambda: {
-            "undervolt": figures.fig5_workload_heterogeneity(
-                GuardbandMode.UNDERVOLT, config
-            ),
-            "overclock": figures.fig5_workload_heterogeneity(
-                GuardbandMode.OVERCLOCK, config
-            ),
-        },
-        "fig6": lambda: figures.fig6_cpm_voltage_mapping(config),
-        "fig7": lambda: figures.fig7_voltage_drop_scaling(config),
-        "fig9": lambda: figures.fig9_drop_decomposition(config),
-        "fig10": lambda: figures.fig10_passive_drop_correlation(config),
-        "fig12": lambda: figures.fig12_borrowing_scaling(config),
-        "fig13": lambda: figures.fig13_borrowing_all_workloads(config),
-        "fig14": lambda: figures.fig14_borrowing_energy(config),
-        "fig15": lambda: figures.fig15_colocation_frequency(config),
-        "fig16": lambda: figures.fig16_mips_predictor(config),
-        "fig17": lambda: figures.fig17_websearch_qos(config),
-    }
-    return {"figure": name, "data": _jsonable(builders[name]())}
+    if name not in FIGURES:
+        raise ReproError(f"unknown figure {name!r}; exportable: {', '.join(FIGURES)}")
+    return {"figure": name, "data": _jsonable(FIGURES[name].build(config))}
 
 
 def export_figure(

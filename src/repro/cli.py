@@ -9,7 +9,8 @@ Subcommands
 ``sweep``
     The Fig. 3/4-style core-scaling sweep for one workload.
 ``figure``
-    Regenerate one of the paper's figures and print its series.
+    Regenerate one of the paper's figures and print its table; the names
+    are the keys of ``repro.analysis.figures.FIGURES``.
 ``audit``
     Reliability-audit a settled operating point.
 ``fleet``
@@ -57,6 +58,7 @@ import tomllib
 from typing import List, Optional
 
 from . import __version__
+from .analysis.figures import FIGURES, text_table
 from .api import measure
 from .config import ServerConfig
 from .errors import (
@@ -78,10 +80,6 @@ from .sim.batch import SweepRunner, set_default_runner
 from .sim.cache import OperatingPointCache
 from .sim.run import build_server
 from .workloads import all_profiles, get_profile
-
-#: Figures the ``figure`` subcommand can regenerate.
-FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10",
-           "fig12", "fig13", "fig14", "fig15", "fig16", "fig17")
 
 #: Exit code per simulator error family, checked subclass-before-base
 #: (``SweepError``, ``FaultError``, ``ScenarioError`` and
@@ -753,31 +751,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from .analysis import figures as fig_builders
-
-    printers = {
-        "fig3": _print_fig3,
-        "fig4": _print_fig4,
-        "fig5": _print_fig5,
-        "fig6": _print_fig6,
-        "fig7": _print_fig7,
-        "fig9": _print_fig9,
-        "fig10": _print_fig10,
-        "fig12": _print_fig12,
-        "fig13": _print_fig13,
-        "fig14": _print_fig14,
-        "fig15": _print_fig15,
-        "fig16": _print_fig16,
-        "fig17": _print_fig17,
-    }
+    figure = FIGURES[args.name]
     # The figure builders pick up the process-wide default runner; swap in
     # one configured from the command's options for the duration.
     runner = _runner_from_args(args)
     previous = set_default_runner(runner)
     try:
-        printers[args.name](fig_builders)
+        result = figure.build(None)
     finally:
         set_default_runner(previous)
+    print(figure.title)
+    print(text_table(*figure.table(result)))
     if args.timings:
         print()
         print(runner.timings_summary())
@@ -1316,131 +1300,6 @@ def _print_resilience_summary(registry) -> None:
                     f"  static-fallback dwell: {child.count} window(s), "
                     f"total {child.sum:.0f} s, mean {child.mean:.0f} s"
                 )
-
-
-# ----------------------------------------------------------------------
-# Figure printers
-# ----------------------------------------------------------------------
-def _print_fig3(figures) -> None:
-    series = figures.fig3_core_scaling_power()
-    print("Fig. 3 — raytrace power vs active cores (undervolt)")
-    for i, n in enumerate(series.core_counts):
-        print(
-            f"  {n} cores: static {series.static_power[i]:6.1f} W, adaptive "
-            f"{series.adaptive_power[i]:6.1f} W "
-            f"({series.power_saving_percent(i):4.1f}% saved)"
-        )
-
-
-def _print_fig4(figures) -> None:
-    series = figures.fig4_core_scaling_frequency()
-    print("Fig. 4 — lu_cb frequency vs active cores (overclock)")
-    for i, n in enumerate(series.core_counts):
-        print(
-            f"  {n} cores: {series.adaptive_frequency[i]/1e6:.0f} MHz "
-            f"(+{series.frequency_boost_percent(i):.1f}%), speedup "
-            f"{series.speedup_percent(i):.1f}%"
-        )
-
-
-def _print_fig5(figures) -> None:
-    for mode in (GuardbandMode.UNDERVOLT, GuardbandMode.OVERCLOCK):
-        series = figures.fig5_workload_heterogeneity(mode)
-        print(f"Fig. 5 — {mode.value} improvement (%) at 1 and 8 cores")
-        for workload, values in series.improvements.items():
-            print(f"  {workload:>12}: {values[0]:5.1f} -> {values[7]:5.1f}")
-
-
-def _print_fig6(figures) -> None:
-    result = figures.fig6_cpm_voltage_mapping()
-    print(
-        f"Fig. 6 — CPM mapping: {result.mv_per_bit:.1f} mV/bit "
-        f"(r^2={result.nominal_fit.r_squared:.3f})"
-    )
-    print(
-        "  per-core mV/bit: "
-        + " ".join(f"{s:.1f}" for s in result.core_sensitivity_mv)
-    )
-
-
-def _print_fig7(figures) -> None:
-    out = figures.fig7_voltage_drop_scaling()
-    print("Fig. 7 — core-0 voltage drop (%) at 1 and 8 active cores")
-    for workload, series in out.items():
-        c0 = series.drops_percent[0]
-        print(f"  {workload:>12}: {c0[0]:4.1f} -> {c0[7]:4.1f}")
-
-
-def _print_fig9(figures) -> None:
-    out = figures.fig9_drop_decomposition()
-    print("Fig. 9 — drop decomposition at 8 cores (% of nominal)")
-    for workload, s in out.items():
-        print(
-            f"  {workload:>15}: LL {s.loadline[7]:.2f}, IR {s.ir_drop[7]:.2f}, "
-            f"typ {s.typical_didt[7]:.2f}, worst {s.worst_didt[7]:.2f}"
-        )
-
-
-def _print_fig10(figures) -> None:
-    result = figures.fig10_passive_drop_correlation()
-    print(
-        f"Fig. 10 — power->drop r^2={result.power_vs_drop.r_squared:.3f}, "
-        f"drop->undervolt slope {result.drop_vs_undervolt.slope:.2f} mV/mV"
-    )
-
-
-def _print_fig12(figures) -> None:
-    series = figures.fig12_borrowing_scaling()
-    print("Fig. 12 — raytrace loadline borrowing gain")
-    for i, n in enumerate(series.core_counts):
-        print(f"  {n} cores: {series.borrowing_gain_percent(i):4.1f}%")
-
-
-def _print_fig13(figures) -> None:
-    series = figures.fig13_borrowing_all_workloads()
-    print(
-        f"Fig. 13 — avg improvement at 8 cores: baseline "
-        f"{series.average(7, 'baseline'):.1f}%, borrowing "
-        f"{series.average(7, 'borrowing'):.1f}%"
-    )
-
-
-def _print_fig14(figures) -> None:
-    result = figures.fig14_borrowing_energy()
-    print(
-        f"Fig. 14 — mean power {result.mean_power_improvement:+.1f}%, mean "
-        f"energy {result.mean_energy_improvement:+.1f}%"
-    )
-    for r in list(result.rows[:3]) + list(result.rows[-3:]):
-        print(
-            f"  {r.workload:>15}: energy {r.energy_improvement_percent:+6.1f}%"
-        )
-
-
-def _print_fig15(figures) -> None:
-    points = figures.fig15_colocation_frequency()
-    print("Fig. 15 — coremark frequency under colocation")
-    for p in points:
-        print(
-            f"  <{p.n_coremark},{p.n_other}> vs {p.other:>6}: "
-            f"{p.coremark_frequency/1e6:.0f} MHz"
-        )
-
-
-def _print_fig16(figures) -> None:
-    result = figures.fig16_mips_predictor()
-    print(
-        f"Fig. 16 — MIPS predictor RMSE {result.relative_rmse*100:.2f}% over "
-        f"{len(result.samples)} workloads"
-    )
-
-
-def _print_fig17(figures) -> None:
-    result = figures.fig17_websearch_qos()
-    print("Fig. 17 — WebSearch QoS violations")
-    for level, rate in result.violation_rates.items():
-        print(f"  {level:>6}: {rate:.1%} at {result.frequencies[level]/1e6:.0f} MHz")
-    print(f"  tail improvement after mapping: {result.tail_improvement_percent:.1f}%")
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution guard

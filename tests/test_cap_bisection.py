@@ -220,3 +220,20 @@ class TestCeilingPrecondition:
                     if after > before
                 ]
                 assert not rises, (half, rises)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an overclock settle ignores f_target: OverclockPolicy.apply never "
+    "receives the ceiling, so the adaptive half stays at its uncapped clock",
+)
+def test_overclock_adaptive_clock_follows_the_ceiling(placement):
+    """Stepping the ceiling from the top of the menu to its floor must slow
+    the adaptive overclock half, as it slows the static half."""
+    sim = _chip_sim("power7", None, 7)
+    menu = sim._cap_walk_frequencies()
+    top, floor = (
+        sim._settle(placement, GuardbandMode.OVERCLOCK, f) for f in (menu[0], menu[-1])
+    )
+    assert floor.static.point.server_power < top.static.point.server_power
+    assert floor.adaptive.point.min_frequency < top.adaptive.point.min_frequency

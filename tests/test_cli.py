@@ -1,9 +1,11 @@
 """The command-line interface."""
 
+import argparse
 import re
 
 import pytest
 
+from repro.analysis.figures import FIGURES
 from repro.cli import build_parser, main
 
 
@@ -20,6 +22,23 @@ class TestParser:
     def test_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
+
+    @pytest.mark.parametrize("command", ["figure", "export"])
+    def test_figure_names_are_the_figure_table(self, capsys, command):
+        """Both commands take exactly the FIGURES keys; Fig. 5 is two
+        entries, so a bare ``fig5`` is a usage error listing them."""
+        parser = build_parser()
+        subcommands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        name = next(
+            a for a in subcommands.choices[command]._actions if a.dest == "name"
+        )
+        assert set(name.choices) == set(FIGURES)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "fig5"])
+        assert exc.value.code == 2
+        assert "fig5_undervolt" in capsys.readouterr().err
 
     def test_measure_defaults(self):
         args = build_parser().parse_args(["measure", "raytrace"])
@@ -203,13 +222,14 @@ class TestCommands:
 
     def test_figure_fig3(self, capsys):
         assert main(["figure", "fig3"]) == 0
-        out = capsys.readouterr().out
-        assert "Fig. 3" in out
-        assert "8 cores" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == FIGURES["fig3"].title
+        assert lines[1].split()[0] == "cores"
+        assert [line.split()[0] for line in lines[2:]] == [str(n) for n in range(1, 9)]
 
     def test_figure_fig16(self, capsys):
         assert main(["figure", "fig16"]) == 0
-        assert "RMSE" in capsys.readouterr().out
+        assert "predicted MHz" in capsys.readouterr().out
 
     def test_fleet_short_day(self, capsys, tmp_path):
         trace_path = tmp_path / "events.jsonl"
@@ -446,13 +466,9 @@ class TestObservabilityOptions:
 
 @pytest.mark.slow
 class TestAllFigurePrinters:
-    @pytest.mark.parametrize(
-        "name",
-        ["fig3", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10",
-         "fig12", "fig13", "fig14", "fig15", "fig16", "fig17"],
-    )
+    @pytest.mark.parametrize("name", list(FIGURES))
     def test_figure_prints_nonempty(self, capsys, name):
         assert main(["figure", name]) == 0
-        out = capsys.readouterr().out
-        assert len(out.splitlines()) >= 1
-        assert "Fig" in out or "RMSE" in out or "r^2" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == FIGURES[name].title
+        assert len(lines) >= 3  # title, header, at least one row

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.analysis.export import EXPORTABLE, export_figure, figure_data
+from repro.analysis.export import export_figure, figure_data
+from repro.analysis.figures import FIGURES
 from repro.errors import ReproError
 
 
@@ -52,6 +53,7 @@ class TestExportFigure:
         assert parsed["figure"] == "fig3"
 
     def test_every_exportable_name_has_builder(self):
-        for name in EXPORTABLE:
+        for name, figure in FIGURES.items():
             # Resolution only; heavy figures are exercised elsewhere.
             assert name.startswith("fig")
+            assert callable(figure.build)

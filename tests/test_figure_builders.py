@@ -48,6 +48,15 @@ class TestHeterogeneitySeries:
         assert series.average(0) == pytest.approx(sum(values) / 2)
         assert series.spread(0) == pytest.approx(max(values) - min(values))
 
+    @pytest.mark.parametrize(
+        "mode", [GuardbandMode.UNDERVOLT, GuardbandMode.OVERCLOCK]
+    )
+    def test_default_five_workloads_spread_magnifies(self, mode):
+        """Fig. 5 draws five workloads; their spread grows from 1 to 8 cores."""
+        series = figures.fig5_workload_heterogeneity(mode)
+        assert tuple(series.improvements) == figures.FIG5_WORKLOADS
+        assert series.spread(7) > series.spread(0)
+
 
 class TestCpmMapping:
     def test_fig6_lines_per_frequency(self):

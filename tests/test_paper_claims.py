@@ -2,8 +2,9 @@
 
 Every value and band lives in :mod:`repro.analysis.claims`; this module
 only measures each claim on the default platform (each figure built once
-for the module), checks the sign claims on other chips, and checks that
-EXPERIMENTS.md quotes what the table measures.
+for the module), renders every figure's table from the same builds,
+checks the sign claims on other chips, and checks that EXPERIMENTS.md
+quotes what the table measures.
 """
 
 import re
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import figures
-from repro.analysis.claims import CLAIMS, FIGURES, FigureSet
+from repro.analysis.claims import CLAIMS
+from repro.analysis.figures import FIGURES, FigureSet, markdown_table, text_table
 from repro.chip.aging import AgingModel, aged_server_config
 from repro.config import ServerConfig
 from repro.sim.batch import SweepRunner
@@ -25,13 +27,13 @@ SLOW_FIGURES = {"fig15", "fig16", "fig17"}
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
 
+def _marks(figure):
+    return pytest.mark.slow if figure in SLOW_FIGURES else ()
+
+
 def _params(claims):
     return [
-        pytest.param(
-            claim,
-            id=claim.id,
-            marks=pytest.mark.slow if claim.figure in SLOW_FIGURES else (),
-        )
+        pytest.param(claim, id=claim.id, marks=_marks(claim.figure))
         for claim in claims
     ]
 
@@ -45,6 +47,22 @@ def figure_set():
 def test_claim_holds_on_the_default_platform(claim, figure_set):
     verdict = claim.check(figure_set)
     assert verdict.passed, str(verdict)
+
+
+@pytest.mark.parametrize(
+    "key", [pytest.param(key, marks=_marks(key)) for key in FIGURES]
+)
+def test_every_figure_renders_in_both_formats(key, figure_set):
+    header, rows = FIGURES[key].table(figure_set[key])
+    assert rows
+    assert all(isinstance(cell, str) for row in [header, *rows] for cell in row)
+    assert all(len(row) == len(header) for row in rows), key
+    text = text_table(header, rows).splitlines()
+    assert len(text) == len(rows) + 1
+    assert len({len(line) for line in text}) == 1  # aligned columns
+    markdown = markdown_table(header, rows).splitlines()
+    assert len(markdown) == len(rows) + 2
+    assert {line.count("|") for line in markdown} == {len(header) + 1}
 
 
 class TestTable:
