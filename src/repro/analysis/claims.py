@@ -180,7 +180,9 @@ CLAIMS: Tuple[Claim, ...] = (
           "raytrace saving, largest rise per added core (pts)", "monotone",
           None, 0.3, _saving_largest_rise),
     Claim("fig3.edp_decay", "Fig. 3b", "raytrace EDP gain decay @1→@8 cores (pts)",
-          "largest @1, ≈20%", 0.0, None, _edp_gain_decay),
+          "largest @1, ≈20%", 0.0, None, _edp_gain_decay,
+          deviation="Undervolting keeps the clock and run time, so the EDP gain is "
+          "the power saving (13.2% @1 core, not ≈20%); only the decay is checked."),
     # ---- Fig. 4: lu_cb under overclocking ------------------------------
     Claim("fig4.boost_1", "Fig. 4a", "lu_cb boost @1 core (%)", "~10%", 7.5, 10.5,
           lambda s: s.frequency_boost_percent(0), row="boost @1 core",
@@ -214,7 +216,9 @@ CLAIMS: Tuple[Claim, ...] = (
           0.0, None, lambda s: s.spread(7) - s.spread(0)),
     Claim("fig5_undervolt.least_saving", "Fig. 5a",
           "least saving, any workload and core count (%)", "every one improves",
-          -0.5, None, lambda s: min(min(v) for v in s.improvements.values())),
+          -0.5, None, lambda s: min(min(v) for v in s.improvements.values()),
+          deviation="water_nsquared saves 0.00% @8 cores: the heaviest workloads pin "
+          "the undervolt at zero there (see Fig. 10); the band only rules out a loss."),
     Claim("fig5_overclock.avg_1", "Sec. 3.3", "17-workload avg boost @1 core (%)",
           "up to 9.6%", 8.6, 10.6, lambda s: s.average(0),
           row="boost avg @1 core (17 workloads)"),

@@ -74,14 +74,6 @@ class Power7Chip:
         for core in self.cores:
             core.evict()
 
-    def gate_core(self, core_id: int) -> None:
-        """Power gate one (empty) core."""
-        self.cores[core_id].gate()
-
-    def ungate_core(self, core_id: int) -> None:
-        """Wake one core from the gated state."""
-        self.cores[core_id].ungate()
-
     def gate_unused(self, keep_on: int) -> None:
         """Gate all empty cores beyond the first ``keep_on`` powered-on ones.
 

@@ -365,10 +365,6 @@ class ServerConfig:
         return self.chip.vmin(self.chip.f_nominal) + self.guardband.static_guardband
 
 
-DEFAULT_SERVER = ServerConfig()
-"""A ready-made default server configuration (two POWER7+ sockets)."""
-
-
 def positive_int_from_env(name: str, default: int) -> int:
     """The integer value of environment variable ``name``.
 

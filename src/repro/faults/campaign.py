@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 #: Smoke mode shrinks every scenario's traffic to at most this horizon
 #: (seconds) and arrival rate (jobs/hour) so the whole catalog runs in

@@ -10,8 +10,8 @@ discrete-event loop owns four state machines:
 * **progress** — a running job advances at a rate set by its settled
   operating point: ``frequency_speedup / (contention x sharing)`` over the
   job's socket share.  Rates are piecewise constant between placement
-  changes, so completions are *scheduled* as events and re-estimated (via
-  generation counters) only when the job's server re-places;
+  changes, so each server schedules its earliest completion as an event,
+  re-estimated (via generation counters) whenever the server re-places;
 * **power** — a server powers on when first-fit needs it and powers off
   after a hysteresis delay once emptied; powered-on servers burn the
   settled server power (chip + peripherals), powered-off servers burn
@@ -30,6 +30,8 @@ event-log hash is identical across ``--workers`` settings by construction.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -325,11 +327,15 @@ class FleetSimulation:
             if trace is not None
             else generate_trace(config.traffic, config.seed)
         )
+        # A weak proxy, not a bound method: no reference cycle, so a
+        # finished engine (log, records) is freed without the cyclic GC.
         self.scheduler = OnlineFleetScheduler(
             config.server_config,
             policy,
             required_frequency=config.required_frequency,
-            settle=self._scheduler_settle,
+            settle=functools.partial(
+                type(self)._scheduler_settle, weakref.proxy(self)
+            ),
             utilization_threshold=config.utilization_threshold,
         )
         self.servers = [
@@ -353,18 +359,6 @@ class FleetSimulation:
         self._runtime = RuntimeModel()
         self._idle_memo: Dict[str, Tuple[float, float]] = {}
         self._cfg_fp = config_fingerprint(config.server_config)
-        #: Event dispatch table for the run loop (one dict lookup per
-        #: event instead of an isinstance ladder).
-        self._dispatch = {
-            CompletionEvent: self._handle_completion,
-            ArrivalEvent: self._handle_arrival,
-            RebalanceEvent: self._handle_rebalance,
-            ServerFaultEvent: self._handle_server_fault,
-            JobKillEvent: self._handle_job_kill,
-            JobRetryEvent: self._handle_job_retry,
-            FallbackEvent: self._handle_fallback,
-            PowerCapTickEvent: self._handle_powercap_tick,
-        }
         # --- power-cap coordination state (inert without a budget) ---
         #: The periodic budget coordinator (``None`` = no fleet budget).
         self.coordinator: Optional[PowerCapCoordinator] = (
@@ -707,33 +701,44 @@ class FleetSimulation:
             n_jobs=len(state.jobs),
             **cap_fields,
         )
-        for job_id in sorted(state.jobs):
-            runner_job = self.running[job_id]
-            runner_job.sync(now_ns)
-            runner_job.rate = self._job_rate(
-                runner_job.spec, plan.job_shares[job_id], result
-            )
-            runner_job.generation += 1
-            # The bump orphans the job's previously scheduled completion
-            # (a fresh start has none — a self-correcting overcount).
-            self.events.note_stale()
-            self._schedule_completion(runner_job, now_ns)
+        self._reestimate(state, plan, result, now_ns)
         if plan.has_lc and self.policy.adaptive:
             self._adjudicate_qos(state, result, now_ns)
 
-    def _schedule_completion(self, job: _RunningJob, now_ns: int) -> None:
-        if job.rate <= 0:
-            raise SchedulingError(
-                f"job {job.spec.job_id} has a non-positive progress rate"
+    def _reestimate(
+        self, state: ServerState, plan: PlacementPlan, result: RunResult,
+        now_ns: int,
+    ) -> None:
+        """Re-rate every resident job; schedule only the earliest finish.
+
+        Whatever fires first — that completion, a kill, a crash, a
+        fallback edge, a cap change, a start — re-commits the server, so
+        no later ETA could fire.  A tie goes to the lower job id, which
+        the FIFO sequence would have popped first.  The bumps orphan the
+        server's one in-flight completion (an idle server's first start
+        has none: a harmless overcount of stale hints).
+        """
+        earliest: Optional[Tuple[int, _RunningJob]] = None
+        for job_id in sorted(state.jobs):
+            job = self.running[job_id]
+            job.sync(now_ns)
+            job.rate = self._job_rate(
+                job.spec, plan.job_shares[job_id], result
             )
-        eta_ns = seconds_to_ns(job.remaining_seconds / job.rate)
-        self.events.push(
-            CompletionEvent(
-                time_ns=now_ns + eta_ns,
-                job_id=job.spec.job_id,
-                generation=job.generation,
+            job.generation += 1
+            if job.rate <= 0:
+                raise SchedulingError(
+                    f"job {job_id} has a non-positive progress rate"
+                )
+            eta_ns = now_ns + seconds_to_ns(job.remaining_seconds / job.rate)
+            if earliest is None or eta_ns < earliest[0]:
+                earliest = (eta_ns, job)
+        if earliest is not None:
+            eta_ns, job = earliest
+            self.events.push(
+                CompletionEvent(eta_ns, job.spec.job_id, job.generation)
             )
-        )
+            self.events.note_stale()
 
     def _adjudicate_qos(
         self, state: ServerState, result: RunResult, now_ns: int
@@ -1339,6 +1344,19 @@ class FleetSimulation:
     # ------------------------------------------------------------------
     # The loop
     # ------------------------------------------------------------------
+    #: The run loop's handler per event kind: plain functions, so the
+    #: engine holds no bound methods of itself (no reference cycle).
+    _DISPATCH = {
+        CompletionEvent: _handle_completion,
+        ArrivalEvent: _handle_arrival,
+        RebalanceEvent: _handle_rebalance,
+        ServerFaultEvent: _handle_server_fault,
+        JobKillEvent: _handle_job_kill,
+        JobRetryEvent: _handle_job_retry,
+        FallbackEvent: _handle_fallback,
+        PowerCapTickEvent: _handle_powercap_tick,
+    }
+
     def run(self) -> FleetResult:
         """Drive the whole trace and return the sealed ledgers."""
         horizon_ns = self.config.horizon_ns
@@ -1413,10 +1431,7 @@ class FleetSimulation:
                 continue
             self.events.maybe_compact(self._event_is_stale)
             self.now_ns = event.time_ns
-            handler = self._dispatch.get(type(event))
-            if handler is None:  # pragma: no cover - no other event kinds
-                raise SchedulingError(f"unhandled event {event!r}")
-            handler(event)
+            self._DISPATCH[type(event)](self, event)
         self.now_ns = horizon_ns
         for account in self.accounts:
             account.advance(horizon_ns)

@@ -11,11 +11,11 @@ order.  The queue is a binary heap keyed by ``(time, priority, sequence)``:
 * ``sequence`` — a monotone insertion counter, so equal-time, equal-kind
   events fire in FIFO order regardless of heap internals.
 
-Completion and rebalance events carry a **generation** number.  The
-simulation bumps the owning entity's generation whenever the event's
-premise changes (a job's completion is re-estimated, a server receives
-work while waiting to power off); stale events are recognised on pop and
-dropped, which is cheaper and more deterministic than in-heap deletion.
+Completion and rebalance events carry a **generation** number, bumped
+whenever the event's premise changes (a server's jobs are re-estimated,
+a server receives work while waiting to power off); stale events are
+dropped on pop, cheaper and more deterministic than in-heap deletion.
+A server has at most one live completion: its earliest-finishing job's.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class FleetEvent:
 
 @dataclass(frozen=True)
 class CompletionEvent(FleetEvent):
-    """A running job's estimated finish.  Stale when the job's progress
-    was re-estimated (placement change) after this event was scheduled."""
+    """The earliest estimated finish among one server's jobs.  Stale when
+    the server re-placed (every job re-estimated) after it was scheduled."""
 
     job_id: int = 0
     generation: int = 0
@@ -157,16 +157,14 @@ class FallbackEvent(FleetEvent):
 class EventQueue:
     """Deterministic priority queue over fleet events.
 
-    Generation-invalidated events are dropped lazily on pop, which is
-    deterministic but lets a churn-heavy run (crash/requeue storms
-    rescheduling completions all day) grow the heap monotonically with
-    entries that will never fire.  The owner reports each known
-    invalidation via :meth:`note_stale`; when the hinted stale fraction
-    exceeds 50% (and the heap is non-trivial), :meth:`maybe_compact`
-    sweeps the stale entries out.  Compaction keeps every surviving
-    entry's original ``(time, priority, sequence)`` key and re-heapifies,
-    so the pop order of live events — and therefore the event-log digest
-    — is exactly what it would have been without compaction.
+    Generation-invalidated events are dropped lazily on pop, so every
+    re-estimate (one server's completion per epoch, crash and requeue
+    storms) leaves an entry that will never fire.  The owner reports
+    each via :meth:`note_stale`; when the hinted stale fraction exceeds
+    50% (and the heap is non-trivial), :meth:`maybe_compact` sweeps the
+    stale entries out, keeping every survivor's ``(time, priority,
+    sequence)`` key, so live events pop — and the event-log digest
+    reads — exactly as without compaction.
     """
 
     def __init__(self) -> None:

@@ -69,11 +69,6 @@ class AuditReport:
         return all(f.passed for f in self.findings)
 
     @property
-    def worst_typical_slack(self) -> float:
-        """Smallest typical-margin slack across cores (V)."""
-        return min(f.typical_slack for f in self.findings)
-
-    @property
     def worst_droop_slack(self) -> float:
         """Smallest under-droop slack across cores (V)."""
         return min(f.droop_slack for f in self.findings)

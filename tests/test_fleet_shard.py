@@ -7,7 +7,9 @@ combination and assert one digest.
 """
 
 import dataclasses
+import gc
 import hashlib
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from repro.faults.spec import (
     ServerCrashFault,
 )
 from repro.fleet import FleetConfig, TrafficConfig
-from repro.fleet import metrics
+from repro.fleet import metrics, shard
 from repro.fleet.engine import FleetSimulation
 from repro.fleet.scheduler import AGS_POLICY
 from repro.fleet.shard import (
@@ -526,6 +528,62 @@ class TestOneRenderFaulted:
         # Server 6 sits in the second cell (offset 4): its dwell is
         # reported under its global id.
         assert [entry[:2] for entry in fallback] == [(6, 0)]
+
+
+class TestEngineLifetime:
+    """A finished cell's engine, with its log and records, is freed by
+    reference counting as ``_simulate_cell`` returns: it sits in no
+    reference cycle, so peak memory never waits on a cyclic GC pass."""
+
+    @pytest.mark.parametrize(
+        "faulted", [False, pytest.param(True, marks=pytest.mark.chaos)]
+    )
+    def test_engine_is_freed_without_the_cyclic_gc(
+        self, config, monkeypatch, faulted
+    ):
+        engines = []
+
+        class Watched(FleetSimulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(weakref.ref(self))
+
+        monkeypatch.setattr(shard, "FleetSimulation", Watched)
+        plan = None
+        budget_w = None
+        if faulted:
+            budget_w = 500.0
+            plan = FaultPlan(
+                specs=(
+                    ServerCrashFault(
+                        start_seconds=600.0, server_id=0, repair_seconds=600.0
+                    ),
+                    JobKillFault(start_seconds=1800.0, job_id=4),
+                    CpmStuckFault(
+                        start_seconds=300.0,
+                        socket_id=0,
+                        server_id=1,
+                        duration_seconds=900.0,
+                    ),
+                )
+            )
+        cell = build_cells([(config, 2, "")], plan, budget_w)[0]
+        trace = tuple(
+            job for job in generate_trace(config.traffic, config.seed)
+            if job.job_id % 4 == 0
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            result, lines = _simulate_cell(cell, AGS_POLICY, trace, 1)
+            assert len(engines) == 1
+            assert engines[0]() is None
+        finally:
+            gc.enable()
+        assert result.n_completions > 0 and lines
+        if faulted:
+            assert result.n_server_crashes == 1
+            assert result.powercap_ticks > 0
 
 
 @pytest.mark.chaos
