@@ -891,7 +891,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(
             f"power budget: {ags.cap_budget_w:g} W fleet-wide, "
             f"steady measured {ags.cap_measured_steady_w:.1f} W "
-            f"(tracking error {ags.cap_tracking_error:.1%}), "
+            f"(tracking error {ags.cap_tracking_error:.1%}: overshoot "
+            f"{ags.cap_overshoot:.1%}, slack {ags.cap_slack:.1%}), "
             f"{ags.powercap_ticks} coordinator tick(s), "
             f"{ags.cap_throttle_epochs} throttled epoch(s)"
         )
@@ -1193,7 +1194,8 @@ def _print_scenario_result(result, seed: int) -> None:
         print(
             f"power budget: {fleet.cap_budget_w:g} W fleet-wide, steady "
             f"measured {fleet.cap_measured_steady_w:.1f} W (tracking "
-            f"error {fleet.cap_tracking_error:.1%}), "
+            f"error {fleet.cap_tracking_error:.1%}: overshoot "
+            f"{fleet.cap_overshoot:.1%}, slack {fleet.cap_slack:.1%}), "
             f"{fleet.powercap_ticks} coordinator tick(s)"
         )
     for group in result.groups:

@@ -42,7 +42,11 @@ from ..faults.plan import FaultPlan
 from ..faults.spec import JobKillFault, ServerCrashFault
 from ..faults.watchdog import watchdog
 from ..guardband import GuardbandMode
-from ..guardband.capping import CapResult, cap_walk_frequencies
+from ..guardband.capping import (
+    CapResult,
+    cap_walk_frequencies,
+    fastest_fitting,
+)
 from ..obs import DEFAULT_LATENCY_BUCKETS, observability
 from ..sim.batch import (
     SweepRunner,
@@ -476,43 +480,46 @@ class FleetSimulation:
     def _settle_capped(
         self, placement, mode: GuardbandMode, cap_w: Optional[float]
     ) -> Tuple[RunResult, bool]:
-        """Settle under a server power cap: bisect the DVFS table.
+        """Settle under a server power cap: search the DVFS menu.
 
         Returns ``(result, throttled)``.  Uncapped (or fitting) settles
-        take exactly the pre-cap path.  Settled server power is monotone
-        non-increasing as the frequency ceiling drops, so the candidates
-        that fit the cap form a suffix of the fastest-first menu — the
-        *fastest fitting point* (what the old linear walk selected) is
-        found by bisection in O(log n) settles instead of O(n), every
-        probe still routed through the shared settle cache.  When even
-        the lowest table point exceeds the cap, the floor point is used
-        (best effort — a fleet must keep running; the strict variant
-        that refuses lives in :meth:`PowerCapPolicy.enforce`).
+        take exactly the pre-cap path.  Otherwise the result is the
+        fastest menu point that fits the cap — what the old linear walk
+        selected — found by :func:`~repro.guardband.capping.fastest_fitting`:
+        the floor first, then interpolation in f³ between the uncapped
+        settle and the floor, every probe routed through the shared
+        settle cache.  The search relies on settled server power never
+        rising as the frequency ceiling drops.  When even the floor
+        exceeds the cap, the floor point is used (best effort — a fleet
+        must keep running; the strict variant that refuses lives in
+        :meth:`PowerCapPolicy.enforce`).
         """
         result = self._settle(placement, mode)
-        if cap_w is None or result.adaptive.point.server_power <= cap_w:
+        point = result.adaptive.point
+        if cap_w is None or point.server_power <= cap_w:
             return result, False
         # Ceilings at or above the uncapped settle's slowest clock cannot
         # produce a slower settle — the old walk skipped them unprobed.
         candidates = [
             frequency
             for frequency in self._cap_walk_frequencies()
-            if frequency < result.adaptive.point.min_frequency
+            if frequency < point.min_frequency
         ]
         if not candidates:
             return result, True
-        lo, hi = 0, len(candidates)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = self._settle(placement, mode, candidates[mid])
-            if probe.adaptive.point.server_power <= cap_w:
-                hi = mid
-            else:
-                lo = mid + 1
-        # No candidate fits: best-effort floor (slowest point).  The
-        # re-settle is a settle-cache memory hit, never a second solve.
-        index = min(lo, len(candidates) - 1)
-        return self._settle(placement, mode, candidates[index]), True
+        probes: Dict[int, RunResult] = {}
+
+        def power_at(index: int) -> float:
+            probes[index] = self._settle(placement, mode, candidates[index])
+            return probes[index].adaptive.point.server_power
+
+        index = fastest_fitting(
+            candidates,
+            power_at,
+            cap_w,
+            over=(point.min_frequency, point.server_power),
+        )
+        return probes[index], True
 
     def _scheduler_settle(
         self,

@@ -274,12 +274,25 @@ class FleetResult:
     @property
     def cap_tracking_error(self) -> float:
         """|steady measured − budget| / budget (0.0 when uncapped)."""
+        return self.cap_overshoot + self.cap_slack
+
+    @property
+    def cap_overshoot(self) -> float:
+        """max(0, steady measured − budget) / budget: how far over."""
+        return max(0.0, self._cap_error())
+
+    @property
+    def cap_slack(self) -> float:
+        """max(0, budget − steady measured) / budget: how far under."""
+        return max(0.0, -self._cap_error())
+
+    def _cap_error(self) -> float:
+        """(steady measured − budget) / budget (0.0 when uncapped)."""
         if self.cap_budget_w <= 0:
             return 0.0
         return (
-            abs(self.cap_measured_steady_w - self.cap_budget_w)
-            / self.cap_budget_w
-        )
+            self.cap_measured_steady_w - self.cap_budget_w
+        ) / self.cap_budget_w
 
     @property
     def total_fallback_seconds(self) -> float:

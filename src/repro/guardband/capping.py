@@ -17,7 +17,7 @@ feature its substrate implies (see DESIGN.md §5b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
 from ..chip.dvfs import DvfsTable
 from ..config import ServerConfig
@@ -42,6 +42,61 @@ def cap_walk_table(config: ServerConfig) -> DvfsTable:
 def cap_walk_frequencies(config: ServerConfig) -> Tuple[float, ...]:
     """:func:`cap_walk_table`'s frequencies, fastest first."""
     return tuple(p.frequency for p in reversed(cap_walk_table(config).points))
+
+
+def fastest_fitting(
+    menu: Sequence[float],
+    power_at: Callable[[int], float],
+    cap: float,
+    over: Tuple[float, float],
+) -> int:
+    """Index of the fastest ``menu`` point whose power fits ``cap``.
+
+    ``menu`` lists frequencies fastest first, and ``power_at(i)`` settles
+    ``menu[i]`` and returns its power, which must never rise as ``i``
+    grows.  ``over`` is the ``(frequency, power)`` of a settle faster
+    than ``menu[0]`` that exceeds the cap.  When no point fits, the
+    floor (last index) is the best-effort answer — the same index the
+    linear walk down the menu selects, in fewer ``power_at`` calls.
+
+    The floor is probed first: when it does not fit, the search ends
+    there.  Otherwise the answer lies in the bracket (over, floor], and
+    each next probe interpolates the cap linearly in f³ between the
+    bracket's ends (dynamic power ∝ f·V², and V follows f along the
+    menu), clamped inside the bracket.  A probe bisects instead when the
+    bracket's ends draw the same power, or when an interpolated miss
+    could leave more bracket than the calls left can bisect, so the
+    search makes at most ``2 * len(menu).bit_length() + 1`` calls.
+    """
+    hi = len(menu) - 1
+    hi_power = power_at(hi)
+    if hi_power > cap:
+        return hi
+    lo = -1
+    lo_frequency, lo_power = over
+    # Calls left after the floor.  Bisecting a bracket of width w takes
+    # at most (w - 1).bit_length() probes, and an interpolated miss
+    # narrows it by at least one.
+    budget = 2 * len(menu).bit_length()
+    while hi - lo > 1:
+        if lo_power <= hi_power or budget <= (hi - lo - 2).bit_length():
+            probe = (lo + hi) // 2
+        else:
+            hi_cube = menu[hi] ** 3
+            target = hi_cube + (cap - hi_power) * (
+                lo_frequency**3 - hi_cube
+            ) / (lo_power - hi_power)
+            probe = next(
+                (i for i in range(lo + 1, hi) if menu[i] ** 3 <= target),
+                hi - 1,
+            )
+        budget -= 1
+        power = power_at(probe)
+        if power <= cap:
+            hi, hi_power = probe, power
+        else:
+            lo, lo_frequency, lo_power = probe, menu[probe], power
+    return hi
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,27 @@
-"""`_settle_capped` bisection vs the reference linear DVFS walk.
+"""`_settle_capped`'s menu search vs the reference linear DVFS walk.
 
-The capped settle used to walk the DVFS table linearly from the top; it
-now bisects (O(log n) settles per capped epoch).  Equivalence is not
-obvious — the linear walk had a dynamic skip rule (candidates at or
-above the current settle's slowest clock were passed over unprobed) and
-a best-effort floor when nothing fits — so this suite sweeps caps across
+The capped settle used to walk the DVFS table linearly from the top,
+then bisected it; it now probes the floor first and interpolates the
+cap in f³ (:func:`repro.guardband.capping.fastest_fitting`), about
+three settles per new throttled placement.  Equivalence is not obvious
+— the linear walk had a dynamic skip rule (candidates at or above the
+current settle's slowest clock were passed over unprobed) and a
+best-effort floor when nothing fits — so this suite sweeps caps across
 the *entire* table for both adaptive guardband modes and demands the
-exact same selected operating point, epoch for epoch.
+exact same selected operating point, epoch for epoch, and checks the
+pure search on stub tables of every shape against the linear walk.
 
-Bisection is only sound if settled server power never rises as the
-frequency ceiling steps down the menu.  Every probe's undervolt loop
-starts from its own ``f_target`` static settle, so the precondition is
-checked for both halves of every probe, across both PDN backends, aged
-silicon and several die seeds.
+Any search faster than the walk is only sound if settled server power
+never rises as the frequency ceiling steps down the menu.  Every probe's
+undervolt loop starts from its own ``f_target`` static settle, so the
+precondition is checked for both halves of every probe, across both PDN
+backends, aged silicon and several die seeds, and for every placement
+the catalog's rack-budget scenarios throttle.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chip.aging import AgingModel, aged_server_config
 from repro.config import ServerConfig
@@ -23,7 +29,9 @@ from repro.fleet import FleetConfig, TrafficConfig
 from repro.fleet.engine import FleetSimulation, clear_fleet_memos
 from repro.fleet.settle_cache import configure_fleet_settle_cache
 from repro.guardband import GuardbandMode
+from repro.guardband.capping import cap_walk_frequencies, fastest_fitting
 from repro.core.placement import Placement, ThreadGroup
+from repro.scenarios import find_scenario, run_scenario
 from repro.workloads import get_profile
 
 
@@ -150,9 +158,69 @@ class TestBisectionMatchesLinearWalk:
         finally:
             sim._settle = original
             sim.settle_seconds = before
-        # 1 uncapped + ceil(log2(n)) probes + 1 cached re-settle.
+        # 1 uncapped + the floor + the interpolated probes (two for the
+        # undervolt curve; the flat overclock curve already fits
+        # uncapped).  The search hands back a probed settle, so there is
+        # no re-settle.
         n = len(table)
         assert len(counted) <= 2 + n.bit_length()
+
+
+#: The cap-walk menu, fastest first; a stub search runs on its slowest n.
+MENU = cap_walk_frequencies(ServerConfig())
+
+
+@st.composite
+def stub_tables(draw):
+    """A non-increasing power table over the menu's slowest 1–26 points."""
+    n = draw(st.integers(1, len(MENU)))
+    top = draw(st.floats(50.0, 500.0))
+    shape = draw(st.sampled_from(["flat", "step", "convex", "concave", "any"]))
+    if shape == "flat":  # an overclock settle that ignores its ceiling
+        powers = [top] * n
+    elif shape == "step":
+        k = draw(st.integers(0, n))
+        powers = [top] * k + [draw(st.floats(1.0, top))] * (n - k)
+    elif shape == "convex":
+        ratio = draw(st.floats(0.3, 0.95))
+        powers = [10.0 + (top - 10.0) * ratio**i for i in range(n)]
+    elif shape == "concave":
+        powers = [top - (top - 10.0) * (i / len(MENU)) ** 2 for i in range(n)]
+    else:
+        drops = draw(
+            st.lists(st.floats(0.0, top / len(MENU)), min_size=n, max_size=n)
+        )
+        powers = [top]
+        for drop in drops[1:]:
+            powers.append(powers[-1] - drop)
+    # The uncapped settle sits above the menu and draws at least its top.
+    over = (
+        MENU[len(MENU) - n] * draw(st.floats(1.0, 1.2, exclude_min=True)),
+        powers[0] + draw(st.floats(0.0, 100.0)),
+    )
+    return MENU[len(MENU) - n :], powers, over
+
+
+class TestSearchMatchesLinearWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(stub_tables())
+    def test_stub_tables(self, table):
+        menu, powers, over = table
+        n = len(powers)
+        caps = [p + delta for p in powers for delta in (-1e-6, 0.0, 1e-6)]
+        caps += [min(powers) - 1.0, max(powers) + 1.0]
+        for cap in caps:
+            calls = []
+
+            def power_at(index):
+                calls.append(index)
+                return powers[index]
+
+            linear = next(
+                (i for i, power in enumerate(powers) if power <= cap), n - 1
+            )
+            assert fastest_fitting(menu, power_at, cap, over) == linear, cap
+            assert len(calls) <= 2 * n.bit_length() + 2, (cap, calls)
 
 
 #: (PDN backend, age in years or None, die seed) of each checked server.
@@ -220,6 +288,40 @@ class TestCeilingPrecondition:
                     if after > before
                 ]
                 assert not rises, (half, rises)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name", ["rack_power_budget", "rack_power_budget_crash"]
+)
+def test_served_throttles_never_rise_down_the_menu(name, monkeypatch):
+    """The precondition on the traffic the rack scenarios really serve:
+    for every (placement, mode) the engine throttles, adaptive server
+    power never rises from the uncapped settle down the whole menu."""
+    throttled = {}
+    settle_capped = FleetSimulation._settle_capped
+
+    def recording(sim, placement, mode, cap_w):
+        result, was_throttled = settle_capped(sim, placement, mode, cap_w)
+        if was_throttled:
+            throttled.setdefault((sim._cfg_fp, placement, mode), sim)
+        return result, was_throttled
+
+    monkeypatch.setattr(FleetSimulation, "_settle_capped", recording)
+    run_scenario(find_scenario(name), keep_events=False)
+    assert throttled
+    for (_, placement, mode), sim in throttled.items():
+        settles = [sim._settle(placement, mode)] + [
+            sim._settle(placement, mode, frequency)
+            for frequency in sim._cap_walk_frequencies()
+        ]
+        powers = [result.adaptive.point.server_power for result in settles]
+        rises = [
+            (index, before, after)
+            for index, (before, after) in enumerate(zip(powers, powers[1:]))
+            if after > before
+        ]
+        assert not rises, (placement, mode, rises)
 
 
 @pytest.mark.xfail(
