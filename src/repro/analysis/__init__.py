@@ -1,4 +1,4 @@
-"""Analysis layer: metrics, fits, and per-figure series builders.
+"""Analysis layer: fits and per-figure series builders.
 
 Every paper figure is one entry of :data:`repro.analysis.figures.FIGURES`
 (title, builder, table); ``repro figure``/``export``/``report``, the
@@ -8,18 +8,8 @@ claims table and the figure benchmarks all read it.  Fig. 5 is
 """
 
 from .fitting import LinearFit, fit_linear
-from .metrics import (
-    edp,
-    energy,
-    improvement_fraction,
-    percent,
-)
 
 __all__ = [
     "LinearFit",
-    "edp",
-    "energy",
     "fit_linear",
-    "improvement_fraction",
-    "percent",
 ]

@@ -59,6 +59,7 @@ from ..sim.results import RunResult
 from ..sim.run import build_server
 from ..workloads.scaling import RuntimeModel, SocketShare
 from .events import (
+    NS_PER_SECOND,
     ArrivalEvent,
     CompletionEvent,
     EventQueue,
@@ -726,18 +727,29 @@ class FleetSimulation:
         has none: a harmless overcount of stale hints).
         """
         earliest: Optional[Tuple[int, _RunningJob]] = None
+        running = self.running
+        job_shares = plan.job_shares
         for job_id in sorted(state.jobs):
-            job = self.running[job_id]
-            job.sync(now_ns)
-            job.rate = self._job_rate(
-                job.spec, plan.job_shares[job_id], result
+            job = running[job_id]
+            # ``job.sync(now_ns)`` and ``seconds_to_ns`` inlined: the same
+            # operations in the same order (``max(0.0, x)`` keeps ``x``
+            # only when ``x > 0.0``), so every float rounds alike.
+            remaining = job.remaining_seconds - job.rate * (
+                (now_ns - job.last_update_ns) / NS_PER_SECOND
+            )
+            job.remaining_seconds = remaining = (
+                remaining if remaining > 0.0 else 0.0
+            )
+            job.last_update_ns = now_ns
+            job.rate = rate = self._job_rate(
+                job.spec, job_shares[job_id], result
             )
             job.generation += 1
-            if job.rate <= 0:
+            if rate <= 0:
                 raise SchedulingError(
                     f"job {job_id} has a non-positive progress rate"
                 )
-            eta_ns = now_ns + seconds_to_ns(job.remaining_seconds / job.rate)
+            eta_ns = now_ns + int(round(remaining / rate * NS_PER_SECOND))
             if earliest is None or eta_ns < earliest[0]:
                 earliest = (eta_ns, job)
         if earliest is not None:
@@ -829,7 +841,7 @@ class FleetSimulation:
             self.accounts[server_id].advance(now_ns)
             self.log.append("power_on", now_ns, server_id=server_id)
             self._record_power_cycle("on")
-        state.jobs[spec.job_id] = spec
+        state.add_job(spec)
         state.rebalance_generation += 1  # cancel any pending power-off
         record = self.records[spec.job_id]
         record.start_ns = now_ns
@@ -899,7 +911,7 @@ class FleetSimulation:
         job.remaining_seconds = 0.0
         del self.running[event.job_id]
         state = self.servers[job.server_id]
-        del state.jobs[event.job_id]
+        state.remove_job(event.job_id)
         record = self.records[event.job_id]
         record.completion_ns = now_ns
         self.log.append(
@@ -1051,7 +1063,7 @@ class FleetSimulation:
         """
         job = self.running.pop(job_id)
         state = self.servers[job.server_id]
-        state.jobs.pop(job_id, None)
+        state.remove_job(job_id)
         self._job_generations[job_id] = job.generation + 1
         # The victim's in-flight completion estimate will never match again.
         self.events.note_stale()

@@ -25,6 +25,7 @@ The scheduler realizes the paper's cluster sketch (Sec. 5.1.1) as an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import ServerConfig
@@ -46,6 +47,10 @@ _predictor_memo: BoundedMemo = BoundedMemo(256)
 #: utilization threshold, canonical job shape) → (plan template,
 #: positional shares).  See :meth:`OnlineFleetScheduler.build_plan`.
 _plan_memo: BoundedMemo = BoundedMemo(16384)
+
+#: A job's plan order and plan-memo shape, computed when it is built.
+_sort_key = attrgetter("sort_key")
+_shape = attrgetter("shape")
 
 #: Within-server placement regimes.
 MODE_BORROWING = "borrowing"
@@ -160,8 +165,12 @@ class ServerState:
     powered: bool = False
 
     #: Resident jobs by id (insertion order is irrelevant: plans are
-    #: rebuilt from a canonical content ordering).
+    #: rebuilt from a canonical content ordering).  Change it only
+    #: through :meth:`add_job` and :meth:`remove_job`.
     jobs: Dict[int, JobSpec] = field(default_factory=dict)
+
+    #: Threads resident on the server, kept next to ``jobs``.
+    total_threads: int = 0
 
     #: Generation counter invalidating pending power-off rebalances.
     rebalance_generation: int = 0
@@ -183,10 +192,14 @@ class ServerState:
     #: against this ceiling.
     power_cap_w: Optional[float] = None
 
-    @property
-    def total_threads(self) -> int:
-        """Threads resident on the server."""
-        return sum(job.n_threads for job in self.jobs.values())
+    def add_job(self, job: JobSpec) -> None:
+        """Make ``job`` resident."""
+        self.jobs[job.job_id] = job
+        self.total_threads += job.n_threads
+
+    def remove_job(self, job_id: int) -> None:
+        """Drop resident job ``job_id``."""
+        self.total_threads -= self.jobs.pop(job_id).n_threads
 
     @property
     def empty(self) -> bool:
@@ -251,17 +264,24 @@ class OnlineFleetScheduler:
         host the job (it must queue).  Does not mutate any state — the
         engine commits the returned plan.
         """
-        alive = [s for s in servers if not s.failed]
-        powered = [s for s in alive if s.powered]
-        dark = [s for s in alive if not s.powered]
-        for state in powered + dark:
-            candidate = list(state.jobs.values()) + [job]
-            if not self.fits(candidate):
-                continue
-            plan = self.build_plan(candidate)
-            if not self._gate_ok(plan, candidate, cap_w=state.power_cap_w):
-                continue
-            return state.server_id, plan
+        room = self._capacity - job.n_threads
+        for powered in (True, False):
+            for state in servers:
+                # The kept count rejects a full server before any
+                # candidate list is built; ``fits`` stays the final check.
+                if (
+                    state.powered != powered
+                    or state.total_threads > room
+                    or state.failed
+                ):
+                    continue
+                candidate = list(state.jobs.values()) + [job]
+                if not self.fits(candidate):
+                    continue
+                plan = self.build_plan(candidate)
+                if not self._gate_ok(plan, candidate, cap_w=state.power_cap_w):
+                    continue
+                return state.server_id, plan
         return None
 
     def fits(self, jobs: Sequence[JobSpec]) -> bool:
@@ -296,27 +316,14 @@ class OnlineFleetScheduler:
                 job_shares={},
                 has_lc=False,
             )
-        ordered = sorted(
-            jobs,
-            key=lambda j: (
-                0 if j.latency_critical else 1,
-                j.profile_name,
-                j.n_threads,
-                j.job_id,
-            ),
-        )
+        ordered = sorted(jobs, key=_sort_key)
         # Plans are positional: two job sets with the same canonical
         # shape (class, workload, width — ids aside) produce the same
         # placement, with shares assigned by canonical position.  Job
         # ids only break ties between otherwise-identical jobs, and the
         # canonical sort orders those by id too, so re-attaching the
         # memoized shares positionally reproduces a fresh build exactly.
-        memo_key = self._plan_key_prefix + (
-            tuple(
-                (job.latency_critical, job.profile_name, job.n_threads)
-                for job in ordered
-            ),
-        )
+        memo_key = self._plan_key_prefix + (tuple(map(_shape, ordered)),)
         hit = _plan_memo.get(memo_key)
         if hit is not None:
             template, share_list = hit

@@ -43,6 +43,9 @@ from .events import NS_PER_SECOND
 LATENCY_CRITICAL = "latency_critical"
 BATCH = "batch"
 
+#: One tuple per distinct job shape (see :class:`JobSpec`).
+_SHAPES: dict = {}
+
 #: Seconds per simulated day (the diurnal period).
 DAY_SECONDS = 86_400.0
 
@@ -94,6 +97,18 @@ class JobSpec:
             )
         if problem is not None:
             raise SchedulingError(f"job {self.job_id}: {problem}")
+        # Plain attributes, not fields, so equality, hashing and repr are
+        # unchanged.  ``shape`` keys the plan memo (0 for critical, then
+        # workload and width; equal shapes share one tuple) and
+        # ``(shape, job_id)`` is the canonical plan order.
+        shape = (
+            0 if self.job_class == LATENCY_CRITICAL else 1,
+            self.profile_name,
+            self.n_threads,
+        )
+        shape = _SHAPES.setdefault(shape, shape)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "sort_key", (shape, self.job_id))
 
     @property
     def latency_critical(self) -> bool:

@@ -26,11 +26,12 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 
-def _canonical_json(value: Any) -> str:
-    """Sorted-key compact JSON (kept local: the cache layer imports the
-    observability package, so importing :mod:`repro.sim.cache` here would
-    cycle)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+#: Canonical (sorted-key, compact) JSON of a plain structure, through
+#: the package's one encoder: byte-identical to ``json.dumps(value,
+#: sort_keys=True, separators=(",", ":"))``, which builds a fresh encoder
+#: per call.  Defined here, the lowest layer that renders JSON, because
+#: :mod:`repro.sim.cache` (which re-exports it) imports this package.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Span:
@@ -185,7 +186,7 @@ class Tracer:
 
     def lines(self) -> List[str]:
         """Canonical JSONL lines, one finished span per line."""
-        return [_canonical_json(span.to_dict()) for span in self._finished]
+        return [canonical_json(span.to_dict()) for span in self._finished]
 
     def write_jsonl(self, path: str) -> None:
         """Dump the trace as one canonical JSON object per line."""

@@ -42,6 +42,7 @@ from ..chip.power import PowerBreakdown
 from ..guardband import GuardbandMode
 from ..guardband.controller import OperatingPoint
 from ..obs import observability
+from ..obs.tracing import canonical_json
 from ..pdn.delivery import DropBreakdown
 from ..workloads.profile import WorkloadProfile
 from .results import RunResult, SteadyState
@@ -56,11 +57,6 @@ DEFAULT_MAX_ENTRIES = 4096
 # ----------------------------------------------------------------------
 # Fingerprinting
 # ----------------------------------------------------------------------
-def canonical_json(value: Any) -> str:
-    """Canonical (sorted-key, compact) JSON of a plain structure."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def fingerprint(value: Any) -> str:
     """Stable 16-hex-digit digest of any JSON-able structure.
 

@@ -1,33 +1,8 @@
-"""Metric arithmetic and linear fitting."""
+"""Linear fitting."""
 
 import pytest
 
-from repro.analysis import edp, energy, fit_linear, improvement_fraction, percent
-
-
-class TestMetrics:
-    def test_energy(self):
-        assert energy(100.0, 10.0) == 1000.0
-
-    def test_edp(self):
-        assert edp(100.0, 10.0) == 10_000.0
-
-    def test_improvement_positive_for_reduction(self):
-        assert improvement_fraction(100.0, 90.0) == pytest.approx(0.1)
-
-    def test_improvement_negative_for_regression(self):
-        assert improvement_fraction(100.0, 110.0) == pytest.approx(-0.1)
-
-    def test_percent(self):
-        assert percent(0.062) == pytest.approx(6.2)
-
-    def test_energy_rejects_negative(self):
-        with pytest.raises(ValueError):
-            energy(-1.0, 10.0)
-
-    def test_improvement_rejects_zero_baseline(self):
-        with pytest.raises(ValueError):
-            improvement_fraction(0.0, 1.0)
+from repro.analysis import fit_linear
 
 
 class TestFitLinear:

@@ -177,14 +177,14 @@ class TestTryPlace:
     def test_powers_on_when_no_powered_server_fits(self, scheduler):
         servers = [ServerState(server_id=i) for i in range(2)]
         servers[0].powered = True
-        servers[0].jobs = {9: _job(9, n=16)}
+        servers[0].add_job(_job(9, n=16))
         placed = scheduler.try_place(_job(0, n=4), servers)
         assert placed is not None
         assert placed[0] == 1
 
     def test_returns_none_when_fleet_is_full(self, scheduler):
         servers = [ServerState(server_id=0, powered=True)]
-        servers[0].jobs = {9: _job(9, n=16)}
+        servers[0].add_job(_job(9, n=16))
         assert scheduler.try_place(_job(0, n=4), servers) is None
 
 
@@ -201,10 +201,8 @@ class TestAdvisorGate:
 
     def _qos_server(self):
         state = ServerState(server_id=0, powered=True)
-        state.jobs = {
-            0: _job(0, "perl", n=2, job_class=LATENCY_CRITICAL),
-            1: _job(1, "mcf", n=8),
-        }
+        state.add_job(_job(0, "perl", n=2, job_class=LATENCY_CRITICAL))
+        state.add_job(_job(1, "mcf", n=8))
         return [state]
 
     def test_rejects_predicted_unsafe_corunner(self, server_config):
