@@ -21,7 +21,8 @@ what the guardband controller and the AMESTER-style telemetry read.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,11 +123,7 @@ class CriticalPathMonitor:
         adjustment absorbs this CPM's additive offset at the calibration
         point; sensitivity differences remain away from it, as in silicon.
         """
-        if not 0 <= code <= self._config.cpm_code_max:
-            raise CalibrationError(
-                f"target code {code} outside detector range "
-                f"0..{self._config.cpm_code_max}"
-            )
+        _check_code(self._config, code)
         self._calibration_code = code
         self._calibrated_margin = margin + self._code_offset * self.volts_per_bit(frequency)
 
@@ -136,7 +133,9 @@ class CpmBank:
 
     Process variation (per-CPM sensitivity scale and code offset) is drawn
     from a seeded :class:`numpy.random.Generator`, making every die instance
-    reproducible while still exhibiting the spread of Fig. 6b.
+    reproducible while still exhibiting the spread of Fig. 6b.  The bank
+    owns that generator, so it draws on the first read of a monitor: a
+    fault-free settle, which never reads a code, never draws.
     """
 
     def __init__(
@@ -149,17 +148,29 @@ class CpmBank:
     ) -> None:
         self._config = config
         floorplan = floorplan or Floorplan(config.n_cores)
-        locations = floorplan.cpm_locations(config.cpms_per_core)
+        self._locations = floorplan.cpm_locations(config.cpms_per_core)
+        self._seed = seed
+        self._anchor = (calibration_code, calibrated_margin)
+        #: The last undrawn :meth:`calibrate` (recalibration depends only on
+        #: its arguments and each CPM's variation): the draw applies it.
+        self._calibration: Optional[Tuple[float, float, int]] = None
+
+    @cached_property
+    def _cpms(self) -> List[List[CriticalPathMonitor]]:
+        """The die's monitors, drawn (and calibrated) on first use."""
+        config = self._config
+        locations = self._locations
         # Every normal of the die in one call, consumed in the per-draw
         # order (per core: its scale, then each CPM's scale and offset).
         # ``rng.normal(loc, s)`` is ``loc + s * z`` on the same stream;
         # tests/test_guardband_reference.py pins that identity.
         n_draws = sum(1 + 2 * len(locations[core]) for core in range(config.n_cores))
-        z = iter(np.random.default_rng(seed).standard_normal(n_draws).tolist())
+        z = iter(np.random.default_rng(self._seed).standard_normal(n_draws).tolist())
         core_sigma = config.cpm_sensitivity_sigma * 0.6
         cpm_sigma = config.cpm_sensitivity_sigma * 0.5
         offset_sigma = config.cpm_offset_sigma
-        self._cpms: List[List[CriticalPathMonitor]] = []
+        calibration_code, calibrated_margin = self._anchor
+        cpms: List[List[CriticalPathMonitor]] = []
         for core in range(config.n_cores):
             # Core-level component of the variation (cores differ from each
             # other more than CPMs within a core do — Fig. 6b).
@@ -179,12 +190,15 @@ class CpmBank:
                         unit=unit,
                     )
                 )
-            self._cpms.append(core_cpms)
+            cpms.append(core_cpms)
+        if self._calibration is not None:
+            _calibrate_all(cpms, *self._calibration)
+        return cpms
 
     @property
     def n_cores(self) -> int:
         """Number of cores covered by the bank."""
-        return len(self._cpms)
+        return self._config.n_cores
 
     def core_cpms(self, core_id: int) -> Sequence[CriticalPathMonitor]:
         """The CPMs inside one core."""
@@ -212,11 +226,28 @@ class CpmBank:
         After calibration the *offsets are preserved in hardware* — the
         procedure zeroes out systematic error at the calibration point but
         per-CPM sensitivity differences remain away from it, as in silicon.
+        An undrawn bank checks the target code now and calibrates (read
+        back included) when it draws.
         """
-        for core in self._cpms:
-            for cpm in core:
-                cpm.recalibrate(margin, target_code, frequency)
-                if cpm.read(margin, frequency) != target_code:
-                    raise CalibrationError(
-                        "CPM failed to read back its calibration code"
-                    )
+        if "_cpms" in vars(self):
+            _calibrate_all(self._cpms, margin, frequency, target_code)
+        else:
+            _check_code(self._config, target_code)
+            self._calibration = (margin, frequency, target_code)
+
+
+def _check_code(config: ChipConfig, code: int) -> None:
+    if not 0 <= code <= config.cpm_code_max:
+        raise CalibrationError(
+            f"target code {code} outside detector range 0..{config.cpm_code_max}"
+        )
+
+
+def _calibrate_all(
+    cpms: List[List[CriticalPathMonitor]], margin: float, frequency: float, code: int
+) -> None:
+    for core in cpms:
+        for cpm in core:
+            cpm.recalibrate(margin, code, frequency)
+            if cpm.read(margin, frequency) != code:
+                raise CalibrationError("CPM failed to read back its calibration code")

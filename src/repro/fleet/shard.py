@@ -35,7 +35,6 @@ import dataclasses
 import hashlib
 import heapq
 import itertools
-import json
 import multiprocessing
 import os
 from bisect import bisect_right
@@ -237,6 +236,7 @@ def _simulate_cell(
     policy: FleetPolicy,
     trace: Tuple,
     workers: int,
+    keep_events: bool = False,
 ) -> Tuple[FleetResult, List[Tuple[int, str]]]:
     """Simulate one cell; returns its result and canonical log lines.
 
@@ -245,7 +245,8 @@ def _simulate_cell(
     the lines it rendered for its own digest are the ones returned: the
     parent only merges strings and no entry is rendered twice.  The
     returned result's ``event_log_hash`` is therefore over global ids;
-    nothing reads it (the merge hashes the lines).
+    nothing reads it (the merge hashes the lines).  ``keep_events``
+    keeps the result's ``events``, so the merge need not parse the lines.
     """
     runner = SweepRunner(max_workers=workers, seed_root=cell.config.seed)
     sim = FleetSimulation(
@@ -256,7 +257,9 @@ def _simulate_cell(
         fault_plan=cell.fault_plan,
         server_offset=cell.offset,
     )
-    result = dataclasses.replace(sim.run(), events=())
+    result = sim.run()
+    if not keep_events:
+        result = dataclasses.replace(result, events=())
     return result, sim.log.timed_lines()
 
 
@@ -315,6 +318,7 @@ def _run_spec_batch(
         workers,
         n_cells,
         settle_dir,
+        keep_events,
     ) = payload
     # Point this process's settle cache at the parent's shared directory:
     # a pool worker starts cold and rebuilds against it; the in-process
@@ -329,7 +333,7 @@ def _run_spec_batch(
     for cell in cells:
         _maybe_inject_worker_fault(cell.index, attempt)
         result, lines = _simulate_cell(
-            cell, policy, tuple(by_index.pop(cell.index)), workers
+            cell, policy, tuple(by_index.pop(cell.index)), workers, keep_events
         )
         out.append((cell.index, result, lines))
     return out
@@ -367,16 +371,18 @@ def merge_cell_results(
 
     The merged ``event_log_hash`` is the SHA-256 over the canonically
     merged JSONL stream — the sharded run's identity.  ``keep_events``
-    retains the merged entries on the result (parse of the canonical
-    lines); large benchmark runs pass ``False`` to keep memory flat.
+    retains the merged entries on the result, taken from each cell's own
+    ``events`` (so every cell must have kept them: ``_simulate_cell(...,
+    keep_events=True)``); large benchmark runs pass ``False`` to keep
+    memory flat.
     """
     hasher = hashlib.sha256()
     merged_events: List[dict] = []
-    for _, _, _, line in _merged_stream(cell_lines):
+    for _, cell_id, seq, line in _merged_stream(cell_lines):
         hasher.update(line.encode("utf-8"))
         hasher.update(b"\n")
         if keep_events:
-            merged_events.append(json.loads(line))
+            merged_events.append(cell_results[cell_id].events[seq])
     results = [cell_results[cell_id] for cell_id in sorted(cell_results)]
     records: List[JobRecord] = []
     for result in results:
@@ -519,7 +525,8 @@ def run_cell_specs(
     outcomes, reruns, _ = fan_out(
         _run_spec_batch,
         [
-            (traffic, trace_seed, policy, batch, workers, n_cells, settle_dir)
+            (traffic, trace_seed, policy, batch, workers, n_cells, settle_dir,
+             keep_events)
             for batch in batches
         ],
         len(batches),
@@ -558,9 +565,8 @@ def run_cell_specs(
         ordered[0].config, policy, cell_results, cell_lines,
         keep_events=keep_events,
     )
-    return ShardedOutcome(
-        merged=merged, by_cell=cell_results, retries=tuple(retries)
-    )
+    by_cell = {i: dataclasses.replace(r, events=()) for i, r in cell_results.items()}
+    return ShardedOutcome(merged=merged, by_cell=by_cell, retries=tuple(retries))
 
 
 def run_sharded(

@@ -9,6 +9,7 @@ combination and assert one digest.
 import dataclasses
 import gc
 import hashlib
+import json
 import weakref
 
 import pytest
@@ -30,8 +31,10 @@ from repro.fleet.scheduler import AGS_POLICY
 from repro.fleet.shard import (
     ENV_SHARD_FAULT,
     MAX_SHARD_RETRIES,
+    _merged_stream,
     _simulate_cell,
     build_cells,
+    merge_cell_results,
     run_cell_specs,
     run_sharded,
 )
@@ -528,6 +531,106 @@ class TestOneRenderFaulted:
         # Server 6 sits in the second cell (offset 4): its dwell is
         # reported under its global id.
         assert [entry[:2] for entry in fallback] == [(6, 0)]
+
+
+def _merged_both_ways(config, cell_servers, plan=None):
+    """One sharded day merged from the cells' own entries, plus the
+    parse of the merged canonical lines those entries must equal."""
+    cells = build_cells(
+        [(config, cell_servers, "")], plan, config.fleet_power_budget_w
+    )
+    jobs = generate_trace(config.traffic, config.seed)
+    results, lines = {}, {}
+    for cell in cells:
+        trace = tuple(
+            job for job in jobs if job.job_id % len(cells) == cell.index
+        )
+        results[cell.index], lines[cell.index] = _simulate_cell(
+            cell, AGS_POLICY, trace, 1, keep_events=True
+        )
+    carried = merge_cell_results(config, AGS_POLICY, results, lines)
+    bare = merge_cell_results(
+        config, AGS_POLICY, results, lines, keep_events=False
+    )
+    assert dataclasses.replace(carried, events=()) == bare
+    parsed = [json.loads(line) for *_, line in _merged_stream(lines)]
+    return carried, parsed
+
+
+class TestMergeKeepsCellEntries:
+    """A cell's entries ride beside its lines, so the merge parses
+    nothing; the kept entries must equal the parsed lines, and render
+    (``--trace-out``) to the same bytes the digest hashed."""
+
+    def _check(self, carried, parsed):
+        assert carried.events and list(carried.events) == parsed
+        rendered = "".join(canonical_json(e) + "\n" for e in carried.events)
+        assert (
+            hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+            == carried.event_log_hash
+        )
+
+    def test_churn_cells(self):
+        config = FleetConfig(
+            n_servers=8,
+            traffic=TrafficConfig(
+                duration_seconds=DURATION,
+                jobs_per_hour=100.0,
+                lc_fraction=0.0,
+                batch_profiles=("raytrace",),
+                batch_threads=(2,),
+            ),
+            seed=7,
+        )
+        self._check(*_merged_both_ways(config, 8))
+        self._check(*_merged_both_ways(config, 4))
+
+    def test_budgeted_cells(self):
+        config = FleetConfig(
+            n_servers=4,
+            traffic=TrafficConfig(
+                duration_seconds=3600.0, jobs_per_hour=120.0, lc_fraction=0.15
+            ),
+            seed=7,
+            fleet_power_budget_w=550.0,
+        )
+        carried, parsed = _merged_both_ways(config, 2)
+        self._check(carried, parsed)
+        assert any(e.get("cap_throttled") for e in carried.events)
+
+    def test_by_cell_results_stay_stripped(self, config):
+        outcome = run_cell_specs(
+            build_cells([(config, 2, "")]), AGS_POLICY, n_shards=1
+        )
+        assert outcome.merged.events
+        assert all(not r.events for r in outcome.by_cell.values())
+
+    def test_pool_cells_match_in_process_cells(self, config):
+        one = run_sharded(config, n_shards=1, cell_servers=2)
+        two = run_sharded(config, n_shards=2, cell_servers=2)
+        assert one.events == two.events and one == two
+
+    @pytest.mark.chaos
+    def test_faulted_multi_cell_day(self, config):
+        plan = FaultPlan(
+            specs=(
+                ServerCrashFault(
+                    start_seconds=600.0, server_id=5, repair_seconds=1200.0
+                ),
+                JobKillFault(start_seconds=1800.0, job_id=3),
+                CpmStuckFault(
+                    start_seconds=300.0,
+                    socket_id=0,
+                    server_id=6,
+                    code=0,
+                    duration_seconds=900.0,
+                ),
+            )
+        )
+        carried, parsed = _merged_both_ways(config, 4, plan)
+        self._check(carried, parsed)
+        kinds = {entry["kind"] for entry in carried.events}
+        assert {"server_crash", "job_kill", "fallback_enter"} <= kinds
 
 
 class TestEngineLifetime:

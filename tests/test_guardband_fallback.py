@@ -133,6 +133,8 @@ class TestControllerFallback:
                     server.config.guardband,
                     socket_id=0,
                 )
+        # It raises before the die draws its CPM bank.
+        assert "_cpms" not in vars(server.sockets[0].chip.cpm_bank)
 
 
 class TestPdnInjection:

@@ -209,6 +209,74 @@ class TestCpmMatchesReference:
         ]
 
 
+class TestLazyBankMatchesEager:
+    """A bank draws on its first read and applies the last calibration
+    made before it; every monitor must equal the eager draw loop's,
+    calibrated at the same points, to the bit."""
+
+    @staticmethod
+    def _state(bank, points):
+        return [
+            (c._sensitivity_scale, c._code_offset, c._calibration_code,
+             c._calibrated_margin, c.unit)
+            for c in bank.all_cpms()
+        ], [
+            bank.read_core(core, margin, frequency)
+            for margin, frequency in points
+            for core in range(bank.n_cores)
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_cores=st.integers(min_value=1, max_value=12),
+        cpms_per_core=st.integers(min_value=1, max_value=8),
+        calibrations=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=0.1),
+                st.floats(min_value=CONFIG.f_min, max_value=CONFIG.f_ceiling),
+                st.integers(min_value=0, max_value=CONFIG.cpm_code_max),
+            ),
+            max_size=2,
+        ),
+        read_first=st.booleans(),
+        points=st.lists(
+            st.tuples(
+                st.floats(min_value=-0.3, max_value=0.3),
+                st.floats(min_value=CONFIG.f_min, max_value=CONFIG.f_ceiling),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_monitors_and_codes_are_identical(
+        self, seed, n_cores, cpms_per_core, calibrations, read_first, points
+    ):
+        config = ChipConfig(n_cores=n_cores, cpms_per_core=cpms_per_core)
+        lazy = CpmBank(config, seed=seed)
+        eager = CpmBank.__new__(CpmBank)
+        _ref_bank_init(eager, config, seed=seed)
+        if read_first:  # calibrations land on a drawn bank
+            lazy.read_core(0, *points[0])
+        assert ("_cpms" in vars(lazy)) is read_first
+        for margin, frequency, code in calibrations:
+            lazy.calibrate(margin, frequency, code)
+            eager.calibrate(margin, frequency, code)
+        assert ("_cpms" in vars(lazy)) is read_first
+        assert self._state(lazy, points) == self._state(eager, points)
+
+    @pytest.mark.parametrize("code", [-1, CONFIG.cpm_code_max + 1])
+    def test_out_of_range_code_raises_before_the_draw(self, code):
+        bank = CpmBank(CONFIG, seed=7)
+        with pytest.raises(CalibrationError, match="outside detector range"):
+            bank.calibrate(0.045, CONFIG.f_nominal, code)
+        assert "_cpms" not in vars(bank)
+        eager = CpmBank.__new__(CpmBank)
+        _ref_bank_init(eager, CONFIG, seed=7)
+        with pytest.raises(CalibrationError, match="outside detector range"):
+            eager.calibrate(0.045, CONFIG.f_nominal, code)
+
+
 # ----------------------------------------------------------------------
 # Whole firmware settles
 # ----------------------------------------------------------------------
