@@ -76,6 +76,7 @@ class PreparedPower:
         self._dynamic = list(dynamic)
         self._residual = [config.power_gate_residual if g else 1.0 for g in gated]
         self._ungated = [not g for g in gated]
+        self._none_gated = bool(gated) and not any(gated)
         self._k = config.leakage_voltage_exponent
         self._t_scale = max(
             1.0 + config.leakage_temp_coeff * (temperature - config.leakage_temp_ref),
@@ -104,6 +105,8 @@ class PreparedPower:
 
     def uncore_voltage(self, voltages: Sequence[float]) -> float:
         """Mean ungated-core voltage; the highest core voltage if all gated."""
+        if self._none_gated:
+            return sum(voltages) / len(voltages)
         ungated = [v for v, on in zip(voltages, self._ungated) if on]
         return sum(ungated) / len(ungated) if ungated else max(voltages)
 

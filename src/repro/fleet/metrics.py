@@ -24,13 +24,17 @@ Three ledgers, all exact and deterministic:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import SchedulingError
 from ..sim.cache import canonical_json
 from .events import NS_PER_SECOND, ns_to_seconds
+
+#: Lines per ``update`` in :func:`jsonl_digest` (never the whole log).
+DIGEST_CHUNK_LINES = 1024
 
 #: Joules per kilowatt-hour, for the report's human-facing numbers.
 JOULES_PER_KWH = 3_600_000.0
@@ -96,6 +100,17 @@ class EnergyAccount:
         return self._adaptive_w
 
 
+def jsonl_digest(lines: Iterable[str]) -> str:
+    """SHA-256 of ``lines`` as JSONL (each line plus ``"\\n"``), hashed
+    :data:`DIGEST_CHUNK_LINES` lines per ``update``; no lines hash ``b""``."""
+    hasher = hashlib.sha256()
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, DIGEST_CHUNK_LINES)):
+        chunk.append("")
+        hasher.update("\n".join(chunk).encode("utf-8"))
+    return hasher.hexdigest()
+
+
 class EventLog:
     """Append-only structured event stream with a canonical hash.
 
@@ -136,11 +151,7 @@ class EventLog:
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSONL rendering of the log."""
-        hasher = hashlib.sha256()
-        for line in self._rendered():
-            hasher.update(line.encode("utf-8"))
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        return jsonl_digest(self._rendered())
 
     def lines(self) -> List[str]:
         """Canonical JSONL lines (what :meth:`write_jsonl` writes)."""

@@ -32,7 +32,6 @@ trace — so the sharded digest degenerates to the plain one.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import heapq
 import itertools
 import multiprocessing
@@ -52,7 +51,7 @@ from ..faults.spec import (
 from ..obs import observability
 from ..sim.batch import MAX_SHARD_RETRIES, SweepRunner, fan_out
 from .engine import FleetConfig, FleetSimulation, reject_standalone_specs
-from .metrics import FleetComparison, FleetResult, JobRecord
+from .metrics import FleetComparison, FleetResult, JobRecord, jsonl_digest
 from .powercap import decompose_budget
 from .settle_cache import ensure_settle_cache_dir, fleet_settle_cache
 from .scheduler import (
@@ -376,13 +375,15 @@ def merge_cell_results(
     keep_events=True)``); large benchmark runs pass ``False`` to keep
     memory flat.
     """
-    hasher = hashlib.sha256()
     merged_events: List[dict] = []
-    for _, cell_id, seq, line in _merged_stream(cell_lines):
-        hasher.update(line.encode("utf-8"))
-        hasher.update(b"\n")
-        if keep_events:
-            merged_events.append(cell_results[cell_id].events[seq])
+
+    def merged_lines() -> Iterator[str]:
+        for _, cell_id, seq, line in _merged_stream(cell_lines):
+            if keep_events:
+                merged_events.append(cell_results[cell_id].events[seq])
+            yield line
+
+    event_log_hash = jsonl_digest(merged_lines())
     results = [cell_results[cell_id] for cell_id in sorted(cell_results)]
     records: List[JobRecord] = []
     for result in results:
@@ -404,7 +405,7 @@ def merge_cell_results(
         n_queued=sum(r.n_queued for r in results),
         qos_violations=sum(r.qos_violations for r in results),
         n_epochs=sum(r.n_epochs for r in results),
-        event_log_hash=hasher.hexdigest(),
+        event_log_hash=event_log_hash,
         job_records=tuple(records),
         events=tuple(merged_events),
         n_requeues=sum(r.n_requeues for r in results),

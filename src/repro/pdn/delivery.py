@@ -33,9 +33,13 @@ def pairwise_sum(values: Sequence[float]) -> float:
     plus a sequential tail; beyond that it halves at a multiple of 8 and
     recurses; the result is added to 0.0.  Python's ``sum`` rounds
     differently already at 8 elements.  ``tests/test_reduction_order.py``
-    pins this against the installed numpy.
+    pins this against the installed numpy.  Eight values (one socket's
+    cores) are one block and no tail: that fold, written out.
     """
     n = len(values)
+    if n == 8:
+        a0, a1, a2, a3, a4, a5, a6, a7 = values
+        return ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) + 0.0
     if n > 128:
         half = n // 2 - n // 2 % 8
         return pairwise_sum(values[:half]) + pairwise_sum(values[half:])

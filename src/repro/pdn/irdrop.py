@@ -70,8 +70,9 @@ class IrDropNetwork:
 
     def coupled(self, core_currents: Sequence[float]) -> List[float]:
         """:meth:`local_drops` without the checks, for currents that are
-        valid by construction (the socket's fixed point)."""
-        return (self._local_matrix @ np.asarray(core_currents, dtype=float)).tolist()
+        valid by construction (the socket's fixed point); ``dot`` is the
+        same BLAS gemv as ``matrix @ np.asarray(...)``."""
+        return self._local_matrix.dot(core_currents).tolist()
 
     def core_drops(self, core_currents: Sequence[float]) -> List[float]:
         """Total per-core IR drop: shared grid term plus local term."""

@@ -223,7 +223,9 @@ class ProcessorSocket:
 
         Everything fixed for the solve is hoisted into the prepared power
         and delivery forms up front, so an iteration only does the
-        arithmetic that depends on the iterate, on plain floats.
+        arithmetic that depends on the iterate, on plain floats.  The servo
+        target inlines ``TimingModel.frequency_for_margin``, then
+        ``clamp_frequency``, then the cap (no cap is an infinite one).
         """
         chip = self.chip
         power = chip.power_model.prepare(
@@ -233,21 +235,25 @@ class ProcessorSocket:
         voltages = [delivery.setpoint - 0.02] * chip.n_cores
         freqs = chip.frequencies()
         f_uncore = power.uncore_frequency(freqs)
+        timing = chip.timing.config
+        intercept, slope = timing.vmin_intercept, timing.vmin_slope
+        f_min, f_ceiling = timing.f_min, timing.f_ceiling
+        cap = float("inf") if frequency_cap is None else frequency_cap
         delta = float("inf")
         for iteration in range(1, MAX_ITERATIONS + 1):
             if servo:
                 freqs = []
                 for v in voltages:
-                    target = chip.timing.frequency_for_margin(v, servo_margin)
-                    target = chip.timing.clamp_frequency(target)
-                    if frequency_cap is not None:
-                        target = min(target, frequency_cap)
-                    freqs.append(target)
+                    target = (v - servo_margin - intercept) / slope
+                    target = f_min if target < f_min else target
+                    target = f_ceiling if target > f_ceiling else target
+                    freqs.append(cap if target > cap else target)
                 f_uncore = power.uncore_frequency(freqs)
             core_currents, uncore_current = power.currents(voltages, freqs, f_uncore)
             *_, new_voltages = delivery.drops(core_currents, uncore_current)
-            delta = max([abs(new - v) for new, v in zip(new_voltages, voltages)])
-            voltages = [v + DAMPING * (new - v) for new, v in zip(new_voltages, voltages)]
+            steps = [new - v for new, v in zip(new_voltages, voltages)]
+            delta = max(map(abs, steps))
+            voltages = [v + DAMPING * step for v, step in zip(voltages, steps)]
             # A diverging iterate (pathological delivery resistance) must
             # stay inside the power model's physical domain so the loop
             # reaches the iteration cap and raises ConvergenceError instead

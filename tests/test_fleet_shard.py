@@ -494,6 +494,20 @@ class TestOneRender:
         assert sim.log.digest() == expected == result.event_log_hash
         assert [line for _, line in sim.log.timed_lines()] == sim.log.lines()
 
+    def test_merged_digest_hashes_the_merged_lines(self, config):
+        """The merge hashes its lines in chunks; a log longer than one
+        chunk hashes the same bytes as its JSONL text."""
+        busy = dataclasses.replace(
+            config,
+            traffic=dataclasses.replace(config.traffic, jobs_per_hour=400),
+        )
+        result = run_sharded(busy, n_shards=1, cell_servers=2)
+        assert len(result.events) > metrics.DIGEST_CHUNK_LINES
+        expected = hashlib.sha256(
+            "".join(canonical_json(e) + "\n" for e in result.events).encode("utf-8")
+        ).hexdigest()
+        assert result.event_log_hash == expected
+
     def test_offset_shifts_every_returned_server_id(self, config):
         local = FleetSimulation(config).run()
         shifted = FleetSimulation(config, server_offset=3).run()

@@ -1,9 +1,14 @@
 """IR-drop network: global/local split, coupling, worst-core behavior."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import PdnConfig
 from repro.floorplan import Floorplan
 from repro.pdn import IrDropNetwork
+from repro.pdn.backends import backend_names, get_backend
 
 
 @pytest.fixture
@@ -85,3 +90,31 @@ class TestCoreDrops:
         more = network.core_drops([5.0, 0, 0, 0, 0, 0, 0, 5.0])
         increases = [m - b for m, b in zip(more, base)]
         assert increases[7] == max(increases)
+
+
+#: Zero, tiny (subnormal up to micro-amp), socket-scale and huge currents.
+_CURRENTS = (
+    st.just(0.0)
+    | st.floats(min_value=0.0, max_value=1e-6)
+    | st.floats(min_value=0.0, max_value=60.0)
+    | st.floats(min_value=1e3, max_value=1e300)
+)
+
+
+class TestCoupledMatchesMatrixProduct:
+    """The fixed point's unchecked ``coupled`` is, to the bit, the matrix
+    product ``local_drops`` was defined by, on every backend's matrix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        backend=st.sampled_from(backend_names()),
+        currents=st.integers(min_value=1, max_value=24).flatmap(
+            lambda n: st.lists(_CURRENTS, min_size=n, max_size=n)
+        ),
+    )
+    def test_equals_matmul_of_the_array(self, backend, currents):
+        config = get_backend(backend).effective_config(PdnConfig())
+        network = IrDropNetwork(config, Floorplan(len(currents)))
+        expected = network._local_matrix @ np.asarray(currents, dtype=float)
+        assert network.coupled(currents) == expected.tolist()
+        assert network.local_drops(currents) == expected.tolist()

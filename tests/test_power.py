@@ -1,5 +1,6 @@
 """Power model: CV²f dynamics, leakage scaling, gating, breakdown sums."""
 
+import numpy as np
 import pytest
 
 from repro.chip.power import PowerBreakdown, PowerModel
@@ -124,6 +125,38 @@ class TestChipPower:
                 gated=[False] * 8,
                 temperature=35.0,
             )
+
+
+class TestUncoreVoltage:
+    """``PreparedPower.uncore_voltage`` is the sequential mean of the
+    ungated cores' voltages (Python ``sum``, not numpy's order), or the
+    highest voltage when every core is gated."""
+
+    @staticmethod
+    def _draws(n=200):
+        rng = np.random.default_rng(3)
+        return [rng.uniform(0.7, 1.3, 8).tolist() for _ in range(n)]
+
+    def test_all_cores_on(self, model):
+        prepared = model.prepare([0.6] * 8, [False] * 8, 60.0)
+        for voltages in self._draws():
+            assert prepared.uncore_voltage(voltages) == sum(voltages) / 8
+
+    def test_mixed(self, model):
+        gated = [False, True, False, False, True, True, False, False]
+        prepared = model.prepare([0.6] * 8, gated, 60.0)
+        for voltages in self._draws():
+            ungated = [v for v, g in zip(voltages, gated) if not g]
+            assert prepared.uncore_voltage(voltages) == sum(ungated) / 5
+
+    def test_all_gated(self, model):
+        prepared = model.prepare([0.6] * 8, [True] * 8, 60.0)
+        for voltages in self._draws(20):
+            assert prepared.uncore_voltage(voltages) == max(voltages)
+
+    def test_empty(self, model):
+        with pytest.raises(ValueError):
+            model.prepare([], [], 60.0).uncore_voltage([])
 
 
 class TestPowerBreakdownDataclass:

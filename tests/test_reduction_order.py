@@ -8,8 +8,12 @@ build that reduces in another order (a new unroll width, a SIMD sum)
 must fail here, loudly, instead of silently moving every digest.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pdn.delivery import pairwise_sum
 
@@ -62,3 +66,28 @@ def test_the_order_matters_at_socket_width():
 def test_signed_zeros_match_numpy(width):
     for values in ([-0.0] * width, [0.0, -0.0] * width):
         assert repr(pairwise_sum(values)) == repr(float(np.sum(values)))
+
+
+#: Values that round or propagate unlike ordinary floats: signed zeros,
+#: subnormals, the largest finite magnitudes, infinities and nan.
+_SPECIAL = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7976931348623157e308,
+     -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    values=st.lists(
+        _SPECIAL | st.floats(allow_nan=True, allow_infinity=True),
+        min_size=8,
+        max_size=8,
+    )
+)
+def test_socket_width_closed_form_matches_numpy(values):
+    """Eight values take the written-out fold; its operand order and the
+    trailing ``+ 0.0`` must be numpy's, specials included."""
+    with np.errstate(all="ignore"):
+        expected = float(np.sum(values))
+    assert repr(pairwise_sum(values)) == repr(expected)
+    assert repr(pairwise_sum(tuple(values))) == repr(expected)

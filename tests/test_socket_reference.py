@@ -32,7 +32,13 @@ from repro.faults.injector import fault_injector, injected
 from repro.guardband.calibration import calibrated_margin
 from repro.pdn.delivery import DropBreakdown
 from repro.sim.server import Power720Server
-from repro.sim.socket import DAMPING, MAX_ITERATIONS, TOLERANCE, ProcessorSocket
+from repro.sim.socket import (
+    DAMPING,
+    MAX_ITERATIONS,
+    TOLERANCE,
+    ProcessorSocket,
+    _Occupancy,
+)
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +293,70 @@ class TestMatchesReferenceLoop:
         lean = _solve(case)
         assert lean == reference
         assert isinstance(lean[0].iterations, int) and lean[0].iterations > 0
+
+    @pytest.mark.parametrize("servo", [False, True])
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_eight_wide_uniform_gating(self, gated, servo):
+        """No core gated (the uncore's plain mean) and every core gated
+        (its highest-voltage fallback), at the socket width."""
+        case = {
+            "width": 8, "die_seed": 5, "backend": "power7", "age_years": None,
+            "socket": 0, "cores": [([], True) if gated else ([0.8], False)] * 8,
+            "setpoint": 1.2, "heat_w": 80.0, "settle_thermal": True,
+            "servo": servo, "frequency_cap": None, "frequencies": None,
+        }
+        with reference_loop():
+            reference = _solve(case)
+        assert _solve(case) == reference
+
+    @pytest.mark.parametrize("backend", ["power7", "flexwatts"])
+    @pytest.mark.parametrize(
+        "setpoint, frequency_cap", [(1.25, 2.0e9), (1.25, 5.0e9), (0.84, None)]
+    )
+    def test_servo_cap_outside_the_dpll_range(
+        self, backend, setpoint, frequency_cap
+    ):
+        """A cap below ``f_min`` wins over the clamp; one above
+        ``f_ceiling`` leaves the clamp in charge, and so does no cap on a
+        low rail, where every target sits below the floor.  The servo
+        loop's own continuous clocks are compared too: the DPLL clamps
+        what it is handed, which would hide a reordered cap from the
+        settled state."""
+        case = {
+            "width": 8, "die_seed": 11, "backend": backend, "age_years": None,
+            "socket": 1, "cores": [([1.0], False)] * 6 + [([], False)] * 2,
+            "setpoint": setpoint, "heat_w": 100.0, "settle_thermal": True,
+            "servo": True, "frequency_cap": frequency_cap, "frequencies": None,
+        }
+        with reference_loop():
+            reference = _solve(case)
+        assert _solve(case) == reference
+
+        socket = _build_socket(case)
+        states = socket.chip.core_states()
+        occupancy = _Occupancy(
+            activities=[s.activity for s in states],
+            gated=[s.gated for s in states],
+            n_active=sum(1 for s in states if s.active),
+        )
+        args = (occupancy, socket.chip.thermal.temperature, True)
+        kwargs = dict(
+            servo_margin=calibrated_margin(
+                socket.config.chip, socket.config.guardband
+            ),
+            frequency_cap=frequency_cap,
+        )
+        voltages, freqs, iters = socket._iterate(*args, **kwargs)
+        ref_voltages, ref_freqs, ref_iters = _ref_iterate(socket, *args, **kwargs)
+        assert (voltages, freqs, iters) == (ref_voltages.tolist(), ref_freqs, ref_iters)
+        config = socket.config.chip
+        if frequency_cap is None:
+            assert set(freqs) == {config.f_min}
+        elif frequency_cap < config.f_min:
+            assert set(freqs) == {frequency_cap}
+        else:
+            # Some cores at the ceiling, some servoed below it.
+            assert max(freqs) == config.f_ceiling > min(freqs)
 
 
 @pytest.mark.chaos
