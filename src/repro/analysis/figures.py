@@ -49,6 +49,7 @@ from .figures_scheduling import (
     Fig14Result,
     PredictorTrainingResult,
     WebSearchQosResult,
+    diurnal_trace,
     fig12_borrowing_scaling,
     fig13_borrowing_all_workloads,
     fig14_borrowing_energy,
@@ -77,6 +78,7 @@ __all__ = [
     "PredictorTrainingResult",
     "VoltageDropSeries",
     "WebSearchQosResult",
+    "diurnal_trace",
     "fig3_core_scaling_power",
     "fig4_core_scaling_frequency",
     "fig5_workload_heterogeneity",

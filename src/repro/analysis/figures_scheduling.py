@@ -18,6 +18,7 @@ from ..core.loadline_borrowing import LoadlineBorrowingScheduler
 from ..core.predictor import MipsFrequencyPredictor, PredictorSample
 from ..core.qos import QosSpec
 from ..core.adaptive_mapping import AdaptiveMappingScheduler
+from ..errors import SchedulingError
 from ..guardband import GuardbandMode
 from ..sim.batch import SweepRunner, SweepTask, default_runner
 from ..sim.run import build_server
@@ -115,6 +116,32 @@ def fig12_borrowing_scaling(
         baseline_undervolt_mv=tuple(rows["uv_base"]),
         borrowing_undervolt_mv=tuple(rows["uv_borrow"]),
     )
+
+
+def diurnal_trace(
+    n_intervals: int = 24,
+    low: int = 1,
+    high: int = 8,
+) -> List[int]:
+    """A canonical day: threads demanded per interval, up to a midday peak.
+
+    A deterministic triangle wave between ``low`` and ``high`` threads.
+    Weighting Fig. 12's columns by it (``power[demand - 1]`` per
+    interval) gives the day's energy under either schedule: the paper's
+    TCO framing (Sec. 3.3) of the same borrowing-vs-consolidation
+    comparison.
+    """
+    if n_intervals < 2:
+        raise SchedulingError("n_intervals must be >= 2")
+    if not 1 <= low <= high:
+        raise SchedulingError("need 1 <= low <= high")
+    trace = []
+    half = n_intervals / 2.0
+    for i in range(n_intervals):
+        position = i / half if i < half else (n_intervals - i) / half
+        demand = low + round((high - low) * position)
+        trace.append(max(low, min(high, demand)))
+    return trace
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .errors import SchedulingError
 from .faults.injector import injected
 from .faults.plan import FaultPlan
 from .guardband import GuardbandMode
-from .guardband.capping import cap_walk_frequencies
+from .guardband.capping import cap_walk_frequencies, settle_under_cap
 from .sim.batch import (
     SweepRunner,
     SweepTask,
@@ -145,7 +145,7 @@ def measure(
     (see :mod:`repro.pdn.backends`); the server is built against it.
     ``power_cap`` enforces a whole-server power budget (W): the cap-walk
     menu (:func:`~repro.guardband.capping.cap_walk_frequencies`, the one
-    the fleet walks) is stepped down from the uncapped point until the
+    the fleet searches) is stepped down from the uncapped point until the
     measured ``adaptive`` server power fits, raising
     :class:`~repro.errors.SchedulingError` when even the lowest point
     exceeds the budget.
@@ -196,6 +196,11 @@ def measure(
                 f_target=target,
             )
 
+        # A linear walk, not the fleet's search: an overclock ``adaptive``
+        # half ignores its ceiling but starts from the thermal state the
+        # ceiling's static settle left on this same server, so its power
+        # is not monotone down the menu and a search could pass over the
+        # fastest point that fits.
         result = _attempt(None)
         if result.adaptive.point.server_power <= power_cap:
             return result
@@ -301,8 +306,10 @@ def sweep(
 
     ``pdn_backend`` selects a registered power-delivery backend for
     every point of the sweep; ``power_cap`` enforces a whole-server
-    budget (W) per point by walking that point down the cap-walk menu
-    until the measured adaptive server power fits (see ``measure``).
+    budget (W) per point: the fastest cap-walk ceiling whose measured
+    adaptive server power fits, found by the fleet's cap search
+    (:func:`~repro.guardband.capping.settle_under_cap`; the runner's
+    settles never rise down the menu), else ``SchedulingError``.
     """
     if fault_plan is not None:
         if runner is None and workers is None and cache_dir is None:
@@ -355,20 +362,18 @@ def sweep(
     results = runner.run_results(tasks, config)
     if power_cap is None:
         return results
+    menu = cap_walk_frequencies(config or ServerConfig())
     capped: List[RunResult] = []
-    candidates = cap_walk_frequencies(config or ServerConfig())
     for task, result in zip(tasks, results):
-        if result.adaptive.point.server_power <= power_cap:
-            capped.append(result)
-            continue
-        for frequency in candidates:
-            if frequency >= result.adaptive.point.min_frequency:
-                continue
-            retry = dataclasses.replace(task, f_target=frequency)
-            result = runner.run_results([retry], config)[0]
-            if result.adaptive.point.server_power <= power_cap:
-                break
-        else:
+        result, _ = settle_under_cap(
+            result,
+            lambda ceiling: runner.run_results(
+                [dataclasses.replace(task, f_target=ceiling)], config
+            )[0],
+            power_cap,
+            menu,
+        )
+        if result.adaptive.point.server_power > power_cap:
             raise SchedulingError(
                 f"power cap of {power_cap:.1f} W is below the floor for "
                 f"{profile.name} on {task.n_threads} threads: the lowest "

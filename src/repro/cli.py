@@ -76,7 +76,7 @@ from .errors import (
 )
 from .guardband import GuardbandMode, audit_operating_point
 from .obs import Observability, install, load_metrics, observability
-from .sim.batch import SweepRunner, set_default_runner
+from .sim.batch import SweepRunner, core_scaling_tasks, set_default_runner
 from .sim.cache import OperatingPointCache
 from .sim.run import build_server
 from .workloads import all_profiles, get_profile
@@ -733,7 +733,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     mode = GuardbandMode(args.mode)
     runner = _runner_from_args(args)
     core_counts = range(1, ServerConfig().chip.n_cores + 1)
-    results = runner.core_scaling_sweep(profile, mode, core_counts)
+    results = runner.run_results(core_scaling_tasks(profile, mode, core_counts))
     print(f"{profile.name}, mode={mode.value}")
     print(f"{'cores':>6} {'static W':>9} {'adaptive W':>11} {'metric':>8}")
     for n, result in zip(core_counts, results):

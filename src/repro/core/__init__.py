@@ -19,7 +19,6 @@ from .adaptive_mapping import AdaptiveMappingScheduler, MappingDecision
 from .ags import AdaptiveGuardbandScheduler, AgsPolicy
 from .cluster import ClusterScheduler, Job
 from .consolidation import ConsolidationScheduler
-from .dynamic import DynamicAgsDriver, diurnal_trace
 from .loadline_borrowing import LoadlineBorrowingScheduler
 from .placement import Placement, ThreadGroup
 from .predictor import MipsFrequencyPredictor, PredictorSample
@@ -31,7 +30,6 @@ __all__ = [
     "AgsPolicy",
     "ClusterScheduler",
     "ConsolidationScheduler",
-    "DynamicAgsDriver",
     "Job",
     "LoadlineBorrowingScheduler",
     "MappingDecision",
@@ -41,5 +39,4 @@ __all__ = [
     "QosMonitor",
     "QosSpec",
     "ThreadGroup",
-    "diurnal_trace",
 ]

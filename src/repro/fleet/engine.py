@@ -45,7 +45,7 @@ from ..guardband import GuardbandMode
 from ..guardband.capping import (
     CapResult,
     cap_walk_frequencies,
-    fastest_fitting,
+    settle_under_cap,
 )
 from ..obs import DEFAULT_LATENCY_BUCKETS, observability
 from ..sim.batch import (
@@ -483,44 +483,20 @@ class FleetSimulation:
     ) -> Tuple[RunResult, bool]:
         """Settle under a server power cap: search the DVFS menu.
 
-        Returns ``(result, throttled)``.  Uncapped (or fitting) settles
-        take exactly the pre-cap path.  Otherwise the result is the
-        fastest menu point that fits the cap — what the old linear walk
-        selected — found by :func:`~repro.guardband.capping.fastest_fitting`:
-        the floor first, then interpolation in f³ between the uncapped
-        settle and the floor, every probe routed through the shared
-        settle cache.  The search relies on settled server power never
-        rising as the frequency ceiling drops.  When even the floor
-        exceeds the cap, the floor point is used (best effort — a fleet
-        must keep running; the strict variant that refuses lives in
-        :meth:`PowerCapPolicy.enforce`).
+        Returns ``(result, throttled)`` from
+        :func:`~repro.guardband.capping.settle_under_cap`, every probe
+        routed through :meth:`_settle` and its shared settle cache.
+        Uncapped (or fitting) settles take exactly the pre-cap path.
+        When even the floor exceeds the cap, the floor point is used
+        (best effort — a fleet must keep running; ``measure``/``sweep``
+        and :meth:`PowerCapPolicy.enforce` refuse instead).
         """
-        result = self._settle(placement, mode)
-        point = result.adaptive.point
-        if cap_w is None or point.server_power <= cap_w:
-            return result, False
-        # Ceilings at or above the uncapped settle's slowest clock cannot
-        # produce a slower settle — the old walk skipped them unprobed.
-        candidates = [
-            frequency
-            for frequency in self._cap_walk_frequencies()
-            if frequency < point.min_frequency
-        ]
-        if not candidates:
-            return result, True
-        probes: Dict[int, RunResult] = {}
-
-        def power_at(index: int) -> float:
-            probes[index] = self._settle(placement, mode, candidates[index])
-            return probes[index].adaptive.point.server_power
-
-        index = fastest_fitting(
-            candidates,
-            power_at,
+        return settle_under_cap(
+            self._settle(placement, mode),
+            lambda ceiling: self._settle(placement, mode, ceiling),
             cap_w,
-            over=(point.min_frequency, point.server_power),
+            self._cap_walk_frequencies(),
         )
-        return probes[index], True
 
     def _scheduler_settle(
         self,

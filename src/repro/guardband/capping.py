@@ -17,7 +17,7 @@ feature its substrate implies (see DESIGN.md §5b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from ..chip.dvfs import DvfsTable
 from ..config import ServerConfig
@@ -26,6 +26,7 @@ from .static import StaticGuardbandPolicy
 from .undervolt import UndervoltPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
+    from ..sim.results import RunResult
     from ..sim.socket import ProcessorSocket, SocketSolution
 
 
@@ -97,6 +98,44 @@ def fastest_fitting(
         else:
             lo, lo_frequency, lo_power = probe, menu[probe], power
     return hi
+
+
+def settle_under_cap(
+    uncapped: "RunResult",
+    settle_at: Callable[[float], "RunResult"],
+    cap: Optional[float],
+    menu: Sequence[float],
+) -> Tuple["RunResult", bool]:
+    """The fastest ``menu`` ceiling whose settle fits a server power cap.
+
+    Returns ``(result, throttled)``.  ``uncapped`` is the settle without
+    a ceiling; it is returned unthrottled when ``cap`` is ``None`` or its
+    adaptive server power fits.  Otherwise the candidates are the
+    ``menu`` ceilings (fastest first, :func:`cap_walk_frequencies`)
+    below its slowest clock — a ceiling at or above it cannot produce a
+    slower settle — and :func:`fastest_fitting` searches them, each
+    probe a ``settle_at(ceiling)`` call; the result is the probe it
+    selects.  The search relies on settled server power never rising as
+    the ceiling drops.  When no candidate fits, the result is the floor
+    probe (or ``uncapped`` when there is no candidate), still over the
+    cap: the fleet runs it best effort, ``measure``/``sweep`` refuse it.
+    """
+    point = uncapped.adaptive.point
+    if cap is None or point.server_power <= cap:
+        return uncapped, False
+    candidates = [f for f in menu if f < point.min_frequency]
+    if not candidates:
+        return uncapped, True
+    probes: Dict[int, "RunResult"] = {}
+
+    def power_at(index: int) -> float:
+        probes[index] = settle_at(candidates[index])
+        return probes[index].adaptive.point.server_power
+
+    index = fastest_fitting(
+        candidates, power_at, cap, over=(point.min_frequency, point.server_power)
+    )
+    return probes[index], True
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ import repro
 from repro import GuardbandMode, build_server, measure, sweep
 from repro.core.placement import Placement, ThreadGroup
 from repro.errors import SchedulingError
-from repro.sim.batch import SweepRunner
+from repro.sim.batch import SweepRunner, core_scaling_tasks
 from repro.sim.cache import OperatingPointCache
+from repro.workloads import get_profile
 from tests.test_measure_reference import reference_measure
 
 
@@ -101,6 +102,38 @@ class TestSelectorValidation:
             measure("raytrace", GuardbandMode.UNDERVOLT)  # noqa
 
 
+class TestScheduledColocation:
+    """``measure(schedule=)`` settles colocated workloads: whoever shares
+    the chip sets its current draw, so its droop, so every core's clock."""
+
+    @staticmethod
+    def _overclock(schedule):
+        return measure(
+            schedule.groups[0][0].profile, schedule=schedule, mode="overclock"
+        ).adaptive.point.socket_point(0).solution
+
+    def test_heavier_mix_lower_frequency(self):
+        heavy = Placement(groups=((ThreadGroup(get_profile("lu_cb"), 8),), ()))
+        light = Placement(groups=((ThreadGroup(get_profile("mcf"), 8),), ()))
+        assert (
+            self._overclock(heavy).mean_frequency
+            < self._overclock(light).mean_frequency
+        )
+
+    def test_colocated_victim_slows_with_aggressor(self):
+        victim = ThreadGroup(get_profile("swaptions"), 1)
+        with_heavy = Placement(
+            groups=((victim, ThreadGroup(get_profile("lu_cb"), 7)), ())
+        )
+        with_light = Placement(
+            groups=((victim, ThreadGroup(get_profile("mcf"), 7)), ())
+        )
+        assert (
+            self._overclock(with_light).frequencies[0]
+            > self._overclock(with_heavy).frequencies[0]
+        )
+
+
 class TestSweepFacade:
     def test_sweep_matches_legacy_runner_path(self, raytrace):
         unified = sweep(
@@ -109,8 +142,8 @@ class TestSweepFacade:
             runner=SweepRunner(max_workers=1, cache=OperatingPointCache()),
         )
         legacy_runner = SweepRunner(max_workers=1, cache=OperatingPointCache())
-        legacy = legacy_runner.core_scaling_sweep(
-            raytrace, GuardbandMode.UNDERVOLT, range(1, 4)
+        legacy = legacy_runner.run_results(
+            core_scaling_tasks(raytrace, GuardbandMode.UNDERVOLT, range(1, 4))
         )
         assert len(unified) == 3
         for mine, theirs in zip(unified, legacy):

@@ -1,4 +1,4 @@
-"""`_settle_capped`'s menu search vs the reference linear DVFS walk.
+"""The cap search (`settle_under_cap`) vs the reference linear DVFS walk.
 
 The capped settle used to walk the DVFS table linearly from the top,
 then bisected it; it now probes the floor first and interpolates the
@@ -10,21 +10,37 @@ best-effort floor when nothing fits — so this suite sweeps caps across
 the *entire* table for both adaptive guardband modes and demands the
 exact same selected operating point, epoch for epoch, and checks the
 pure search on stub tables of every shape against the linear walk.
+``sweep(power_cap=)`` runs the same search and ``measure(power_cap=)``
+keeps the linear walk; both picks and both below-floor errors are
+checked against the walk on both PDN backends, and a capped ``measure``
+under an installed injector must fit the cap or refuse.
 
 Any search faster than the walk is only sound if settled server power
 never rises as the frequency ceiling steps down the menu.  Every probe's
 undervolt loop starts from its own ``f_target`` static settle, so the
 precondition is checked for both halves of every probe, across both PDN
-backends, aged silicon and several die seeds, and for every placement
-the catalog's rack-budget scenarios throttle.
+backends, aged silicon and several die seeds, for the consolidated
+placements the facade settles (bar ``measure``'s overclock half, which
+rises once and is why ``measure`` keeps its walk), and for every
+placement the catalog's rack-budget scenarios throttle.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dataclasses
+
+from repro.api import measure, sweep
 from repro.chip.aging import AgingModel, aged_server_config
 from repro.config import ServerConfig
+from repro.errors import SchedulingError
+from repro.faults import (
+    CpmNoiseFault,
+    FaultPlan,
+    LoadlineExcursionFault,
+    VrmDroopFault,
+)
 from repro.fleet import FleetConfig, TrafficConfig
 from repro.fleet.engine import FleetSimulation, clear_fleet_memos
 from repro.fleet.settle_cache import configure_fleet_settle_cache
@@ -32,6 +48,9 @@ from repro.guardband import GuardbandMode
 from repro.guardband.capping import cap_walk_frequencies, fastest_fitting
 from repro.core.placement import Placement, ThreadGroup
 from repro.scenarios import find_scenario, run_scenario
+from repro.sim.batch import SweepRunner, core_scaling_tasks
+from repro.sim.cache import OperatingPointCache
+from repro.sim.run import build_server
 from repro.workloads import get_profile
 
 
@@ -223,6 +242,129 @@ class TestSearchMatchesLinearWalk:
             assert len(calls) <= 2 * n.bit_length() + 2, (cap, calls)
 
 
+#: The consolidated shapes the facade tests measure: (workload, threads).
+FACADE_POINTS = [("raytrace", 8), ("fft", 4)]
+
+
+def measure_capped_linear(workload, power_cap, **kwargs):
+    """The reference linear walk of ``measure(power_cap=)``: step down the
+    menu, skipping ceilings at or above the current settle's slowest
+    clock, and refuse when the last point settled still exceeds the
+    cap."""
+    result = measure(workload, **kwargs)
+    if result.adaptive.point.server_power <= power_cap:
+        return result
+    for frequency in cap_walk_frequencies(kwargs["config"]):
+        if frequency >= result.adaptive.point.min_frequency:
+            continue  # no slower than the uncapped settle
+        result = measure(workload, f_target=frequency, **kwargs)
+        if result.adaptive.point.server_power <= power_cap:
+            return result
+    raise SchedulingError(
+        f"power cap of {power_cap:.1f} W is below the floor: even the "
+        f"lowest DVFS point draws "
+        f"{result.adaptive.point.server_power:.1f} W here"
+    )
+
+
+def sweep_capped_linear(runner, task, power_cap, config):
+    """The linear walk ``sweep(power_cap=)`` replaced by the search,
+    verbatim, for one sweep point."""
+    result = runner.run_results([task], config)[0]
+    if result.adaptive.point.server_power <= power_cap:
+        return result
+    for frequency in cap_walk_frequencies(config):
+        if frequency >= result.adaptive.point.min_frequency:
+            continue
+        retry = dataclasses.replace(task, f_target=frequency)
+        result = runner.run_results([retry], config)[0]
+        if result.adaptive.point.server_power <= power_cap:
+            break
+    else:
+        raise SchedulingError(
+            f"power cap of {power_cap:.1f} W is below the floor for "
+            f"{task.profile.name} on {task.n_threads} threads: the lowest "
+            f"DVFS point draws "
+            f"{result.adaptive.point.server_power:.1f} W"
+        )
+    return result
+
+
+def _outcome(call):
+    """What a capped call ends in: its result, or its error's message."""
+    try:
+        return call()
+    except SchedulingError as error:
+        return str(error)
+
+
+def _caps(top, floor):
+    """14 caps from the floor's power to the uncapped power, and one
+    below the floor."""
+    return [floor + (top - floor) * (step + 0.5) / 14 for step in range(14)] + [
+        floor * 0.5
+    ]
+
+
+@pytest.mark.parametrize("live_server", [False, True], ids=["fresh", "server"])
+@pytest.mark.parametrize("backend", ["power7", "flexwatts"])
+@pytest.mark.parametrize("mode", ["undervolt", "overclock"])
+@pytest.mark.parametrize("workload, n_threads", FACADE_POINTS)
+def test_capped_measure_matches_linear_walk(
+    workload, n_threads, mode, backend, live_server
+):
+    """``measure(power_cap=)`` picks what the linear walk picks, and below
+    the floor raises the same message.  With ``server=`` every probe
+    runs on one live machine (fresh for each side), so the probe order
+    is part of the result."""
+    config = ServerConfig(pdn_backend=backend)
+    kwargs = dict(mode=mode, n_threads=n_threads, config=config)
+    top = measure(workload, **kwargs)
+    floor = measure(workload, f_target=cap_walk_frequencies(config)[-1], **kwargs)
+
+    def on_server():
+        return dict(kwargs, server=build_server(config)) if live_server else kwargs
+
+    for cap in _caps(top.adaptive.point.server_power, floor.adaptive.point.server_power):
+        capped = _outcome(lambda: measure(workload, power_cap=cap, **on_server()))
+        walked = _outcome(lambda: measure_capped_linear(workload, cap, **on_server()))
+        # Not ``assert capped == walked``: pytest's diff of two results
+        # would render every settled field.
+        same = capped == walked
+        assert same, cap
+    assert "below the floor" in walked
+
+
+@pytest.mark.parametrize("backend", ["power7", "flexwatts"])
+@pytest.mark.parametrize("mode", ["undervolt", "overclock"])
+@pytest.mark.parametrize("workload, n_threads", FACADE_POINTS)
+def test_sweep_search_matches_linear_walk(workload, n_threads, mode, backend):
+    """``sweep(power_cap=)`` picks what its linear walk picked, and below
+    the floor raises the same message."""
+    config = ServerConfig(pdn_backend=backend)
+    runner = SweepRunner(cache=OperatingPointCache())
+    (task,) = core_scaling_tasks(
+        get_profile(workload), GuardbandMode(mode), [n_threads]
+    )
+    floor_task = dataclasses.replace(task, f_target=cap_walk_frequencies(config)[-1])
+    top, floor = runner.run_results([task, floor_task], config)
+    for cap in _caps(top.adaptive.point.server_power, floor.adaptive.point.server_power):
+        searched = _outcome(
+            lambda: sweep(
+                workload,
+                mode=mode,
+                core_counts=[n_threads],
+                config=config,
+                runner=runner,
+                power_cap=cap,
+            )[0]
+        )
+        walked = _outcome(lambda: sweep_capped_linear(runner, task, cap, config))
+        same = searched == walked
+        assert same, cap
+    assert "below the floor" in walked
+
+
 #: (PDN backend, age in years or None, die seed) of each checked server.
 CHIPS = [
     ("power7", None, 7),
@@ -237,19 +379,35 @@ CHIPS = [
 ]
 
 
-def _chip_sim(backend, age_years, seed) -> FleetSimulation:
+def _chip_config(backend, age_years) -> ServerConfig:
     server_config = ServerConfig(pdn_backend=backend)
     if age_years is not None:
         server_config = aged_server_config(server_config, AgingModel(), age_years)
+    return server_config
+
+
+def _chip_sim(backend, age_years, seed) -> FleetSimulation:
     return FleetSimulation(
         FleetConfig(
             n_servers=1,
             traffic=TrafficConfig(duration_seconds=3600.0, jobs_per_hour=10.0),
             seed=seed,
-            server_config=server_config,
+            server_config=_chip_config(backend, age_years),
         ),
         trace=(),
     )
+
+
+def _assert_never_rises(menu, settles, halves=("static", "adaptive")):
+    """Server power, uncapped then down ``menu``, never rises."""
+    for half in halves:
+        powers = [getattr(result, half).point.server_power for result in settles]
+        rises = [
+            (ceiling, before, after)
+            for ceiling, before, after in zip(menu, powers, powers[1:])
+            if after > before
+        ]
+        assert not rises, (half, rises)
 
 
 #: A one-socket placement: socket 1 is fully gated and parks.
@@ -278,16 +436,92 @@ class TestCeilingPrecondition:
             settles = [sim._settle(where, mode)] + [
                 sim._settle(where, mode, frequency) for frequency in menu
             ]
-            for half in ("static", "adaptive"):
-                powers = [
-                    getattr(result, half).point.server_power for result in settles
-                ]
-                rises = [
-                    (ceiling, before, after)
-                    for ceiling, before, after in zip(menu, powers, powers[1:])
-                    if after > before
-                ]
-                assert not rises, (half, rises)
+            _assert_never_rises(menu, settles)
+
+    @pytest.mark.parametrize("workload, n_threads", FACADE_POINTS)
+    def test_consolidated_settles_never_rise(
+        self, workload, n_threads, mode, backend, age_years, seed
+    ):
+        """The placements ``measure``/``sweep(power_cap=)`` cap: all
+        threads on socket 0, socket 1 idle, settled by ``measure`` (one
+        live server) and by the sweep runner (a fresh server per mode).
+        ``measure``'s overclock half is not checked: it ignores its
+        ceiling but starts from the thermal state the ceiling's static
+        settle left, and its power rises once down the menu (by
+        0.022–0.025 W), so ``measure`` keeps the linear walk until the
+        overclock policy takes the ceiling."""
+        config = _chip_config(backend, age_years)
+        menu = cap_walk_frequencies(config)
+        kwargs = dict(mode=mode, n_threads=n_threads, config=config, seed=seed)
+        measured = [measure(workload, **kwargs)] + [
+            measure(workload, f_target=frequency, **kwargs) for frequency in menu
+        ]
+        overclock = mode is GuardbandMode.OVERCLOCK
+        _assert_never_rises(
+            menu, measured, ("static",) if overclock else ("static", "adaptive")
+        )
+        (task,) = core_scaling_tasks(get_profile(workload), mode, [n_threads])
+        swept = SweepRunner(cache=OperatingPointCache()).run_results(
+            [task] + [dataclasses.replace(task, f_target=f) for f in menu],
+            config,
+            seed_root=seed,
+        )
+        _assert_never_rises(menu, swept)
+
+
+#: Injected faults a capped ``measure`` may run under.
+FAULT_PLANS = [
+    FaultPlan(specs=(CpmNoiseFault(socket_id=0, amplitude_bits=4),), seed=3),
+    FaultPlan(specs=(VrmDroopFault(socket_id=0, depth_volts=0.030),)),
+    FaultPlan(specs=(LoadlineExcursionFault(socket_id=0, factor=2.0),)),
+]
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("mode", ["undervolt", "overclock"])
+@pytest.mark.parametrize(
+    "plan", FAULT_PLANS, ids=[plan.specs[0].kind for plan in FAULT_PLANS]
+)
+def test_faulted_capped_measure_fits_or_refuses(plan, mode, monkeypatch):
+    """Under an injector nothing promises that power falls down the menu.
+    Whatever a capped ``measure`` ends in is a settle that fits the cap
+    (the uncapped one, or one at a menu ceiling) or the below-floor
+    error naming the power of the last point it settled."""
+    from repro import api
+
+    capped_measure = api.measure
+    probes = []
+
+    def recording(workload, *, f_target=None, power_cap=None, **kwargs):
+        result = capped_measure(
+            workload, f_target=f_target, power_cap=power_cap, **kwargs
+        )
+        if power_cap is None:
+            probes.append((f_target, result))
+        return result
+
+    # The capped call reaches its probes through the module's ``measure``.
+    monkeypatch.setattr(api, "measure", recording)
+    menu = cap_walk_frequencies(ServerConfig())
+    kwargs = dict(mode=mode, n_threads=8, fault_plan=plan)
+    top = capped_measure("raytrace", **kwargs).adaptive.point.server_power
+    for fraction in (1.01, 0.97, 0.9, 0.8, 0.7, 0.5, 0.2):
+        cap = top * fraction
+        probes.clear()
+        try:
+            result = capped_measure("raytrace", power_cap=cap, **kwargs)
+        except SchedulingError as error:
+            ceiling, last = probes[-1]
+            assert ceiling in (None, menu[-1])
+            assert str(error) == (
+                f"power cap of {cap:.1f} W is below the floor: even the "
+                f"lowest DVFS point draws "
+                f"{last.adaptive.point.server_power:.1f} W here"
+            )
+            continue
+        assert result.adaptive.point.server_power <= cap, fraction
+        (ceiling,) = [c for c, r in probes if r is result]
+        assert ceiling is None or ceiling in menu
 
 
 @pytest.mark.slow

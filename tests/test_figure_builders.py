@@ -3,6 +3,8 @@
 import pytest
 
 from repro.analysis import figures
+from repro.analysis.figures import diurnal_trace
+from repro.errors import SchedulingError
 from repro.guardband import GuardbandMode
 
 
@@ -165,3 +167,37 @@ class TestSchedulingFigures:
         result = figures.fig16_mips_predictor(workloads=("raytrace", "mcf", "lu_cb"))
         assert {s.workload for s in result.samples} == {"raytrace", "mcf", "lu_cb"}
         assert result.predictor.fitted
+
+
+class TestDiurnalTrace:
+    def test_length(self):
+        assert len(diurnal_trace(24)) == 24
+
+    def test_bounds(self):
+        trace = diurnal_trace(24, low=1, high=8)
+        assert min(trace) == 1
+        assert max(trace) == 8
+
+    def test_peak_in_the_middle(self):
+        trace = diurnal_trace(24, low=1, high=8)
+        assert trace.index(max(trace)) in range(8, 16)
+
+    def test_starts_and_ends_low(self):
+        trace = diurnal_trace(24, low=2, high=7)
+        assert trace[0] == 2
+
+    def test_rejects_bad_bounds(self):
+        with pytest.raises(SchedulingError):
+            diurnal_trace(24, low=5, high=3)
+        with pytest.raises(SchedulingError):
+            diurnal_trace(1)
+
+    def test_fig12_weighted_day_saves_energy(self):
+        """Borrowing's day, Fig. 12 weighted by the trace, beats
+        consolidation's, and no hour of it costs more."""
+        series = figures.fig12_borrowing_scaling()
+        trace = diurnal_trace(24, low=1, high=8)
+        baseline = [series.baseline_power[demand - 1] for demand in trace]
+        borrowing = [series.borrowing_power[demand - 1] for demand in trace]
+        assert all(b <= a for a, b in zip(baseline, borrowing))
+        assert 1.0 - sum(borrowing) / sum(baseline) > 0.01
