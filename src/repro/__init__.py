@@ -24,51 +24,25 @@ Quickstart::
     print(f"power saving: {result.power_saving_fraction:.1%}")
 """
 
-from .api import measure, sweep
-from .config import (
-    ChipConfig,
-    DidtConfig,
-    GuardbandConfig,
-    PdnConfig,
-    ServerConfig,
-)
-from .faults import FaultInjector, FaultPlan, chaos_plan, injected, run_chaos
-from .guardband import GuardbandController, GuardbandMode
-from .sim import Power720Server, RunResult, SteadyState
-from .sim.run import build_server
-from .workloads import (
-    SCALABLE_BENCHMARKS,
-    WorkloadProfile,
-    all_profiles,
-    get_profile,
-    profile_names,
-)
+from .lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ChipConfig",
-    "DidtConfig",
-    "FaultInjector",
-    "FaultPlan",
-    "GuardbandConfig",
-    "GuardbandController",
-    "GuardbandMode",
-    "PdnConfig",
-    "Power720Server",
-    "RunResult",
-    "SCALABLE_BENCHMARKS",
-    "ServerConfig",
-    "SteadyState",
-    "WorkloadProfile",
-    "__version__",
-    "all_profiles",
-    "build_server",
-    "chaos_plan",
-    "get_profile",
-    "injected",
-    "measure",
-    "profile_names",
-    "run_chaos",
-    "sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": ("measure", "sweep"),
+    ".config": (
+        "ChipConfig", "DidtConfig", "GuardbandConfig", "PdnConfig", "ServerConfig",
+    ),
+    ".faults.injector": ("FaultInjector", "injected"),
+    ".faults.plan": ("FaultPlan", "chaos_plan"),
+    ".faults.report": ("run_chaos",),
+    ".guardband.controller": ("GuardbandController", "GuardbandMode"),
+    ".sim.results": ("RunResult", "SteadyState"),
+    ".sim.run": ("build_server",),
+    ".sim.server": ("Power720Server",),
+    ".workloads.catalog": (
+        "SCALABLE_BENCHMARKS", "all_profiles", "get_profile", "profile_names",
+    ),
+    ".workloads.profile": ("WorkloadProfile",),
+})
+__all__.append("__version__")

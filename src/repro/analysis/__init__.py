@@ -7,9 +7,8 @@ claims table and the figure benchmarks all read it.  Fig. 5 is
 (dataclasses of lists), which the examples plot and EXPERIMENTS.md quotes.
 """
 
-from .fitting import LinearFit, fit_linear
+from ..lazy import lazy_exports
 
-__all__ = [
-    "LinearFit",
-    "fit_linear",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".fitting": ("LinearFit", "fit_linear"),
+})

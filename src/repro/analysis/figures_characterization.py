@@ -23,7 +23,7 @@ from ..sim.batch import (
     derive_seed,
 )
 from ..sim.run import build_server
-from ..workloads import get_profile
+from ..workloads import get_profile, profile_names
 from .fitting import LinearFit, fit_linear
 
 #: The five workloads the paper highlights in Figs. 5 and 7.
@@ -485,8 +485,6 @@ def fig10_passive_drop_correlation(
     runner: Optional[SweepRunner] = None,
 ) -> Fig10Result:
     """Fig. 10: power → passive drop → undervolt/boost, at eight cores."""
-    from ..workloads import profile_names
-
     runner = runner or default_runner()
     names = list(workloads) if workloads is not None else profile_names()
     tasks = []

@@ -15,15 +15,14 @@ import numpy as np
 from ..config import ServerConfig
 from ..core.consolidation import ConsolidationScheduler
 from ..core.loadline_borrowing import LoadlineBorrowingScheduler
-from ..core.predictor import MipsFrequencyPredictor, PredictorSample
+from ..core.predictor import MipsFrequencyPredictor, fit_mips_predictor
 from ..core.qos import QosSpec
 from ..core.adaptive_mapping import AdaptiveMappingScheduler
 from ..errors import SchedulingError
 from ..guardband import GuardbandMode
 from ..sim.batch import SweepRunner, SweepTask, default_runner
 from ..sim.run import build_server
-from ..workloads import get_profile, profile_names
-from ..workloads.scaling import RuntimeModel, SocketShare
+from ..workloads import SCALABLE_BENCHMARKS, get_profile, profile_names
 from ..workloads.synthetic import coremark_profile, throttled_corunner
 from ..workloads.websearch import WebSearchModel
 
@@ -171,8 +170,6 @@ def fig13_borrowing_all_workloads(
     runner: Optional[SweepRunner] = None,
 ) -> BorrowingComparisonSeries:
     """Fig. 13: scaling power improvement for every PARSEC/SPLASH-2 load."""
-    from ..workloads import SCALABLE_BENCHMARKS
-
     runner = runner or default_runner()
     cfg = config or ServerConfig()
     consolidation = ConsolidationScheduler(cfg)
@@ -380,32 +377,9 @@ def fig16_mips_predictor(
     workloads: Optional[Sequence[str]] = None,
 ) -> PredictorTrainingResult:
     """Fig. 16: stress all cores per workload, fit frequency on chip MIPS."""
-    server = build_server(config)
-    runtime = RuntimeModel()
-    names = list(workloads) if workloads is not None else profile_names()
-    samples = []
-    for name in names:
-        profile = get_profile(name)
-        server.clear()
-        server.place(0, profile, server.config.chip.n_cores)
-        point = server.operate(GuardbandMode.OVERCLOCK)
-        solution = point.socket_point(0).solution
-        share = SocketShare.consolidated(
-            server.config.chip.n_cores, server.n_sockets
-        )
-        mips = runtime.effective_mips(
-            profile, share, [solution.mean_frequency] * server.n_sockets
-        )
-        samples.append(
-            PredictorSample(
-                chip_mips=mips,
-                frequency=solution.mean_frequency,
-                workload=name,
-            )
-        )
-    predictor = MipsFrequencyPredictor().fit(samples)
+    predictor = fit_mips_predictor(config, workloads)
     return PredictorTrainingResult(
-        samples=tuple(samples),
+        samples=predictor.samples,
         predictor=predictor,
         relative_rmse=predictor.rmse(),
     )

@@ -11,27 +11,16 @@ Submodules
 ``chip``     – the eight-core die tying everything together.
 """
 
-from .chip import Power7Chip
-from .core import CoreState, Power7Core
-from .cpm import CriticalPathMonitor, CpmBank
-from .dpll import DigitalPll
-from .dvfs import DvfsTable
-from .power import PowerBreakdown, PowerModel
-from .thermal import ThermalModel
-from .timing import TimingModel
-from .vcs import VcsDomain
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CoreState",
-    "CpmBank",
-    "CriticalPathMonitor",
-    "DigitalPll",
-    "DvfsTable",
-    "Power7Chip",
-    "Power7Core",
-    "PowerBreakdown",
-    "PowerModel",
-    "ThermalModel",
-    "TimingModel",
-    "VcsDomain",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".chip": ("Power7Chip",),
+    ".core": ("CoreState", "Power7Core"),
+    ".cpm": ("CriticalPathMonitor", "CpmBank"),
+    ".dpll": ("DigitalPll",),
+    ".dvfs": ("DvfsTable",),
+    ".power": ("PowerBreakdown", "PowerModel"),
+    ".thermal": ("ThermalModel",),
+    ".timing": ("TimingModel",),
+    ".vcs": ("VcsDomain",),
+})

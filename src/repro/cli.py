@@ -1003,13 +1003,7 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from .scenarios import (
-        catalog_paths,
-        check_result,
-        codec,
-        load_catalog,
-        run_scenario,
-    )
+    from .scenarios import check_result, codec, load_catalog, run_scenario
     from .sim.cache import canonical_json
 
     if args.overrides and args.action != "run":

@@ -15,28 +15,15 @@ The :class:`~repro.core.ags.AdaptiveGuardbandScheduler` facade picks the
 policy by utilization, mirroring the two enterprise scenarios of Sec. 5.
 """
 
-from .adaptive_mapping import AdaptiveMappingScheduler, MappingDecision
-from .ags import AdaptiveGuardbandScheduler, AgsPolicy
-from .cluster import ClusterScheduler, Job
-from .consolidation import ConsolidationScheduler
-from .loadline_borrowing import LoadlineBorrowingScheduler
-from .placement import Placement, ThreadGroup
-from .predictor import MipsFrequencyPredictor, PredictorSample
-from .qos import QosMonitor, QosSpec
+from ..lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveGuardbandScheduler",
-    "AdaptiveMappingScheduler",
-    "AgsPolicy",
-    "ClusterScheduler",
-    "ConsolidationScheduler",
-    "Job",
-    "LoadlineBorrowingScheduler",
-    "MappingDecision",
-    "MipsFrequencyPredictor",
-    "Placement",
-    "PredictorSample",
-    "QosMonitor",
-    "QosSpec",
-    "ThreadGroup",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".adaptive_mapping": ("AdaptiveMappingScheduler", "MappingDecision"),
+    ".ags": ("AdaptiveGuardbandScheduler", "AgsPolicy"),
+    ".cluster": ("ClusterScheduler", "Job"),
+    ".consolidation": ("ConsolidationScheduler",),
+    ".loadline_borrowing": ("LoadlineBorrowingScheduler",),
+    ".placement": ("Placement", "ThreadGroup"),
+    ".predictor": ("MipsFrequencyPredictor", "PredictorSample"),
+    ".qos": ("QosMonitor", "QosSpec"),
+})

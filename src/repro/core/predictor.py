@@ -15,11 +15,16 @@ evaluation speed matters more than the last fraction of accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import ServerConfig
 from ..errors import SchedulingError
+from ..guardband.controller import GuardbandMode
+from ..sim.run import build_server
+from ..workloads.catalog import get_profile, profile_names
+from ..workloads.scaling import RuntimeModel, SocketShare
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,11 @@ class MipsFrequencyPredictor:
     def fitted(self) -> bool:
         """Whether :meth:`fit` has produced coefficients."""
         return self._intercept is not None
+
+    @property
+    def samples(self) -> Tuple[PredictorSample, ...]:
+        """The training samples of the last :meth:`fit`."""
+        return tuple(self._samples)
 
     @property
     def intercept(self) -> float:
@@ -116,3 +126,36 @@ class MipsFrequencyPredictor:
     def _require_fit(self) -> None:
         if not self.fitted:
             raise SchedulingError("predictor has not been fitted")
+
+
+def fit_mips_predictor(
+    config: Optional[ServerConfig] = None,
+    workloads: Optional[Sequence[str]] = None,
+) -> MipsFrequencyPredictor:
+    """The Fig. 16 fit: stress all cores of one socket per workload (the
+    whole catalog by default, in catalog order) on one reused server in
+    overclock mode, and fit the settled frequency on chip MIPS."""
+    server = build_server(config)
+    runtime = RuntimeModel()
+    names = list(workloads) if workloads is not None else profile_names()
+    samples = []
+    for name in names:
+        profile = get_profile(name)
+        server.clear()
+        server.place(0, profile, server.config.chip.n_cores)
+        point = server.operate(GuardbandMode.OVERCLOCK)
+        solution = point.socket_point(0).solution
+        share = SocketShare.consolidated(
+            server.config.chip.n_cores, server.n_sockets
+        )
+        mips = runtime.effective_mips(
+            profile, share, [solution.mean_frequency] * server.n_sockets
+        )
+        samples.append(
+            PredictorSample(
+                chip_mips=mips,
+                frequency=solution.mean_frequency,
+                workload=name,
+            )
+        )
+    return MipsFrequencyPredictor().fit(samples)

@@ -31,71 +31,40 @@ See ``docs/RESILIENCE.md`` for the fault taxonomy and the fallback
 state machine.
 """
 
-from .gate import CpmPlausibilityGate, GateVerdict
-from .injector import (
-    DROPPED_CODE,
-    NULL_INJECTOR,
-    FaultInjector,
-    fault_injector,
-    injected,
-    install_injector,
-)
-from .plan import FaultPlan, chaos_plan
-from .spec import (
-    CPM_CORRUPTION_KINDS,
-    CacheCorruptionFault,
-    CalibrationFault,
-    CpmDropFault,
-    CpmNoiseFault,
-    CpmStuckFault,
-    FaultSpec,
-    JobKillFault,
-    LoadlineExcursionFault,
-    ServerCrashFault,
-    StaleTelemetryFault,
-    VrmDroopFault,
-)
-from .report import DegradationReport, run_chaos
-from .campaign import CampaignReport, CampaignRow, run_campaign
-from .watchdog import (
-    NULL_WATCHDOG,
-    InvariantWatchdog,
-    install_watchdog,
-    watchdog,
-    watched,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CampaignReport",
-    "CampaignRow",
-    "InvariantWatchdog",
-    "NULL_WATCHDOG",
-    "CPM_CORRUPTION_KINDS",
-    "CacheCorruptionFault",
-    "CalibrationFault",
-    "CpmDropFault",
-    "CpmNoiseFault",
-    "CpmPlausibilityGate",
-    "CpmStuckFault",
-    "DROPPED_CODE",
-    "DegradationReport",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "GateVerdict",
-    "JobKillFault",
-    "LoadlineExcursionFault",
-    "NULL_INJECTOR",
-    "ServerCrashFault",
-    "StaleTelemetryFault",
-    "VrmDroopFault",
-    "chaos_plan",
-    "fault_injector",
-    "injected",
-    "install_injector",
-    "install_watchdog",
-    "run_campaign",
-    "run_chaos",
-    "watchdog",
-    "watched",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".campaign": ("CampaignReport", "CampaignRow", "run_campaign"),
+    ".gate": ("CpmPlausibilityGate", "GateVerdict"),
+    ".injector": (
+        "DROPPED_CODE",
+        "NULL_INJECTOR",
+        "FaultInjector",
+        "fault_injector",
+        "injected",
+        "install_injector",
+    ),
+    ".plan": ("FaultPlan", "chaos_plan"),
+    ".report": ("DegradationReport", "run_chaos"),
+    ".spec": (
+        "CPM_CORRUPTION_KINDS",
+        "CacheCorruptionFault",
+        "CalibrationFault",
+        "CpmDropFault",
+        "CpmNoiseFault",
+        "CpmStuckFault",
+        "FaultSpec",
+        "JobKillFault",
+        "LoadlineExcursionFault",
+        "ServerCrashFault",
+        "StaleTelemetryFault",
+        "VrmDroopFault",
+    ),
+    ".watchdog": (
+        "NULL_WATCHDOG",
+        "InvariantWatchdog",
+        "install_watchdog",
+        "watchdog",
+        "watched",
+    ),
+})

@@ -24,6 +24,15 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
+from ..scenarios import (
+    FaultPlanSpec,
+    FaultWindowSpec,
+    GoldenSpec,
+    load_catalog,
+    run_scenario,
+)
+from .watchdog import InvariantWatchdog, install_watchdog
+
 #: Smoke mode shrinks every scenario's traffic to at most this horizon
 #: (seconds) and arrival rate (jobs/hour) so the whole catalog runs in
 #: CI time.  Degradation percentages are noisier at this scale; the
@@ -125,8 +134,6 @@ def _shrink_for_smoke(scenario):
 
 def _randomized_windows(scenario, rng: random.Random):
     """One crash (with repair), one CPM corruption, one job kill."""
-    from ..scenarios import FaultWindowSpec
-
     duration = scenario.traffic.duration_seconds
     groups = scenario.topology.groups
     crash_group = groups[rng.randrange(len(groups))]
@@ -175,14 +182,6 @@ def run_campaign(
     report instead.  Deterministic for a fixed ``(scenarios, seed,
     smoke)`` triple.
     """
-    from ..scenarios import (
-        FaultPlanSpec,
-        GoldenSpec,
-        load_catalog,
-        run_scenario,
-    )
-    from .watchdog import InvariantWatchdog, install_watchdog
-
     if scenarios is None:
         scenarios = load_catalog()
     rows = []

@@ -11,14 +11,14 @@ same seed and plan byte-identical (the determinism acceptance test).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
+from ..fleet.engine import FleetSimulation
+from ..fleet.metrics import FleetResult
+from ..fleet.scheduler import AGS_POLICY, FleetPolicy
+from ..fleet.traffic import generate_trace
+from ..sim.batch import SweepRunner
 from .plan import FaultPlan
-
-if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
-    from ..fleet.metrics import FleetResult
-    from ..fleet.scheduler import FleetPolicy
-    from ..sim.batch import SweepRunner
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class DegradationReport:
     """Fault-free vs degraded outcome of one fleet scenario."""
 
     plan: FaultPlan
-    baseline: "FleetResult"
-    degraded: "FleetResult"
+    baseline: FleetResult
+    degraded: FleetResult
 
     @property
     def energy_delta_joules(self) -> float:
@@ -106,8 +106,8 @@ class DegradationReport:
 def run_chaos(
     config,
     plan: FaultPlan,
-    runner: Optional["SweepRunner"] = None,
-    policy: Optional["FleetPolicy"] = None,
+    runner: Optional[SweepRunner] = None,
+    policy: Optional[FleetPolicy] = None,
 ) -> DegradationReport:
     """Run one fleet scenario fault-free and degraded; report the delta.
 
@@ -115,10 +115,6 @@ def run_chaos(
     share the trace and the sweep runner, so the baseline's settled
     points replay from cache wherever the degraded run revisits them.
     """
-    from ..fleet.engine import FleetSimulation
-    from ..fleet.scheduler import AGS_POLICY
-    from ..fleet.traffic import generate_trace
-
     fleet_policy = policy if policy is not None else AGS_POLICY
     trace = generate_trace(config.traffic, config.seed)
     baseline = FleetSimulation(

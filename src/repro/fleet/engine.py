@@ -87,6 +87,9 @@ from .scheduler import (
     OnlineFleetScheduler,
     PlacementPlan,
     ServerState,
+    _freq_memo,
+    _plan_memo,
+    _predictor_memo,
     socket_min_active_frequency,
 )
 from .traffic import (
@@ -242,8 +245,6 @@ def clear_fleet_memos() -> None:
     rerun after this call reads the disk layer — pass a fresh directory
     for a truly cold run).
     """
-    from .scheduler import _freq_memo, _plan_memo, _predictor_memo
-
     fleet_settle_cache().clear()
     _idle_power_memo.clear()
     _job_rate_memo.clear()

@@ -31,12 +31,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..config import ServerConfig
 from ..core.advisor import ColocationAdvisor
 from ..core.placement import Placement, ThreadGroup, cached_hash
+from ..core.predictor import fit_mips_predictor
 from ..errors import SchedulingError
 from ..guardband import GuardbandMode
 from ..obs import observability
+from ..sim.batch import config_fingerprint
 from ..sim.cache import BoundedMemo
 from ..sim.results import RunResult
 from ..sim.run import build_server
+from ..workloads.catalog import get_profile
 from .traffic import JobSpec
 
 #: Process-wide fitted-predictor memo, keyed by config fingerprint
@@ -237,8 +240,6 @@ class OnlineFleetScheduler:
         self._advisor_server = None
         #: Memoized advisor verdicts: (critical, candidate) -> safe?
         self._advisor_verdicts: Dict[Tuple[str, str], bool] = {}
-        from ..sim.batch import config_fingerprint
-
         #: Prefix pinning the plan memo to this scheduler's semantics:
         #: any knob that changes what build_plan produces must be here.
         self._plan_key_prefix = (
@@ -507,8 +508,6 @@ class OnlineFleetScheduler:
                     "(critical, candidate) pairs."
                 ),
             )
-            from ..workloads import get_profile
-
             advisor = ColocationAdvisor(
                 server=self._scratch_server(),
                 critical=get_profile(critical_name),
@@ -530,14 +529,9 @@ class OnlineFleetScheduler:
         predictor — so sharing it cannot change any scheduling verdict.
         """
         if self._predictor is None:
-            from ..analysis.figures_scheduling import fig16_mips_predictor
-            from ..sim.batch import config_fingerprint
-
             key = config_fingerprint(self.config)
             if key not in _predictor_memo:
-                _predictor_memo[key] = fig16_mips_predictor(
-                    self.config
-                ).predictor
+                _predictor_memo[key] = fit_mips_predictor(self.config)
             self._predictor = _predictor_memo[key]
         return self._predictor
 

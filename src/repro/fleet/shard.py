@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-import multiprocessing
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -276,6 +275,9 @@ def _maybe_inject_worker_fault(cell_index: int, attempt: int) -> None:
     spec = os.environ.get(ENV_SHARD_FAULT)
     if not spec:
         return
+    # Imported only under the hook: a fault-free run never loads it.
+    import multiprocessing
+
     if multiprocessing.parent_process() is None:
         return
     action, _, params = spec.partition(":")

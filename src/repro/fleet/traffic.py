@@ -32,6 +32,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that
+# load out of the first trace a run generates.
+from numpy.random import RandomState
 
 from ..errors import SchedulingError
 from ..sim.batch import derive_seed
@@ -290,7 +293,7 @@ def _rate_at_array(config: TrafficConfig, t: "np.ndarray") -> "np.ndarray":
 
 
 def _candidate_times(
-    rng: "np.random.RandomState", peak: float, duration: float
+    rng: RandomState, peak: float, duration: float
 ) -> "np.ndarray":
     """Cumulative exponential-gap candidate times covering ``duration``.
 
@@ -328,7 +331,7 @@ def generate_trace(config: TrafficConfig, seed: int) -> Tuple[JobSpec, ...]:
     outcomes — LC pool/thread indices and service demands, batch
     pool/thread indices and service demands.
     """
-    rng = np.random.RandomState(
+    rng = RandomState(
         derive_seed(seed, {"stream": "fleet-traffic"}) % (2 ** 32)
     )
     peak = config.peak_rate

@@ -10,27 +10,15 @@ and the controller facade.
 * :mod:`~repro.guardband.controller` — mode dispatch facade.
 """
 
-from .audit import AuditReport, audit_operating_point
-from .calibration import calibrated_margin, calibrate_socket
-from .capping import CapResult, PowerCapPolicy
-from .controller import GuardbandController, GuardbandMode
-from .overclock import OverclockPolicy
-from .parking import park_if_fully_gated, park_voltage
-from .static import StaticGuardbandPolicy
-from .undervolt import UndervoltPolicy
+from ..lazy import lazy_exports
 
-__all__ = [
-    "AuditReport",
-    "CapResult",
-    "PowerCapPolicy",
-    "GuardbandController",
-    "GuardbandMode",
-    "OverclockPolicy",
-    "StaticGuardbandPolicy",
-    "UndervoltPolicy",
-    "audit_operating_point",
-    "calibrate_socket",
-    "calibrated_margin",
-    "park_if_fully_gated",
-    "park_voltage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".audit": ("AuditReport", "audit_operating_point"),
+    ".calibration": ("calibrate_socket", "calibrated_margin"),
+    ".capping": ("CapResult", "PowerCapPolicy"),
+    ".controller": ("GuardbandController", "GuardbandMode"),
+    ".overclock": ("OverclockPolicy",),
+    ".parking": ("park_if_fully_gated", "park_voltage"),
+    ".static": ("StaticGuardbandPolicy",),
+    ".undervolt": ("UndervoltPolicy",),
+})

@@ -9,31 +9,19 @@ grid, and di/dt noise split into a typical-case ripple and rare worst-case
 droop events.
 """
 
-from .backends import (
-    DEFAULT_BACKEND,
-    PdnBackend,
-    backend_names,
-    get_backend,
-    register_backend,
-)
-from .decomposition import DecomposedDrop, DropDecomposer
-from .delivery import DropBreakdown, PowerDeliveryPath
-from .didt import DidtNoiseModel, DroopEvent
-from .irdrop import IrDropNetwork
-from .vrm import VoltageRegulatorModule
+from ..lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BACKEND",
-    "DecomposedDrop",
-    "DidtNoiseModel",
-    "DroopEvent",
-    "DropBreakdown",
-    "DropDecomposer",
-    "IrDropNetwork",
-    "PdnBackend",
-    "PowerDeliveryPath",
-    "VoltageRegulatorModule",
-    "backend_names",
-    "get_backend",
-    "register_backend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".backends": (
+        "DEFAULT_BACKEND",
+        "PdnBackend",
+        "backend_names",
+        "get_backend",
+        "register_backend",
+    ),
+    ".decomposition": ("DecomposedDrop", "DropDecomposer"),
+    ".delivery": ("DropBreakdown", "PowerDeliveryPath"),
+    ".didt": ("DidtNoiseModel", "DroopEvent"),
+    ".irdrop": ("IrDropNetwork",),
+    ".vrm": ("VoltageRegulatorModule",),
+})

@@ -38,15 +38,13 @@ registered, so a typo in a scenario file fails loudly at build time.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..config import PdnConfig
 from ..errors import ConfigError
+from ..floorplan import Floorplan
 from .delivery import PowerDeliveryPath
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..floorplan import Floorplan
-    from .vrm import VoltageRegulatorModule
+from .vrm import VoltageRegulatorModule
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,14 +74,12 @@ class PdnBackend:
 
     def build_vrm(
         self, config: PdnConfig, n_rails: int
-    ) -> "VoltageRegulatorModule":
+    ) -> VoltageRegulatorModule:
         """Construct the shared VRM under this backend.
 
         The VRM owns the loadline drop, so it must see the same
         effective configuration as the per-socket paths.
         """
-        from .vrm import VoltageRegulatorModule
-
         return VoltageRegulatorModule(
             self.effective_config(config), n_rails=n_rails
         )
@@ -91,8 +87,8 @@ class PdnBackend:
     def build_path(
         self,
         config: PdnConfig,
-        floorplan: "Floorplan",
-        vrm: "VoltageRegulatorModule",
+        floorplan: Floorplan,
+        vrm: VoltageRegulatorModule,
         rail: int,
     ) -> PowerDeliveryPath:
         """Construct one socket's delivery path under this backend."""

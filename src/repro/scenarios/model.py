@@ -38,6 +38,7 @@ from ..faults.spec import (
 )
 from ..fleet.scheduler import POLICIES
 from ..fleet.traffic import TrafficConfig
+from ..pdn.backends import get_backend
 
 _SOCKET_KEYS = ("duration_seconds", "socket")
 
@@ -256,8 +257,6 @@ class PolicySpec:
         )
         # Resolve eagerly so an unknown backend fails at model build
         # time with the registry's name list, not mid-run.
-        from ..pdn.backends import get_backend
-
         try:
             get_backend(self.pdn_backend)
         except Exception as exc:

@@ -9,43 +9,23 @@
 ``batch``   – parallel sweep runner executing grids of independent tasks.
 """
 
-from .engine import TickResult, TransientEngine
-from .results import RunResult, SteadyState, active_mean_frequency
-from .run import build_server
-from .server import Power720Server, ServerOperatingPoint
-from .socket import ProcessorSocket, SocketSolution
-from .cache import CacheStats, OperatingPointCache, fingerprint
-from .batch import (
-    SweepReport,
-    SweepRunner,
-    SweepTask,
-    core_scaling_tasks,
-    default_runner,
-    derive_seed,
-    set_default_runner,
-    settle_task,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "OperatingPointCache",
-    "Power720Server",
-    "ProcessorSocket",
-    "RunResult",
-    "ServerOperatingPoint",
-    "SocketSolution",
-    "SteadyState",
-    "SweepReport",
-    "SweepRunner",
-    "SweepTask",
-    "TickResult",
-    "TransientEngine",
-    "active_mean_frequency",
-    "build_server",
-    "core_scaling_tasks",
-    "default_runner",
-    "derive_seed",
-    "fingerprint",
-    "set_default_runner",
-    "settle_task",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".batch": (
+        "SweepReport",
+        "SweepRunner",
+        "SweepTask",
+        "core_scaling_tasks",
+        "default_runner",
+        "derive_seed",
+        "set_default_runner",
+        "settle_task",
+    ),
+    ".cache": ("CacheStats", "OperatingPointCache", "fingerprint"),
+    ".engine": ("TickResult", "TransientEngine"),
+    ".results": ("RunResult", "SteadyState", "active_mean_frequency"),
+    ".run": ("build_server",),
+    ".server": ("Power720Server", "ServerOperatingPoint"),
+    ".socket": ("ProcessorSocket", "SocketSolution"),
+})

@@ -31,14 +31,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..config import ServerConfig, positive_int_from_env
+from ..core.evaluate import apply_with_contention
+from ..core.placement import Placement
 from ..errors import SweepError
 from ..faults.injector import fault_injector
 from ..guardband import GuardbandMode
@@ -55,9 +53,6 @@ from .cache import (
 from .results import RunResult, SteadyState, active_mean_frequency
 from .run import build_server
 from .server import Power720Server, ServerOperatingPoint
-
-if TYPE_CHECKING:  # pragma: no cover - imported for annotations only
-    from ..core.placement import Placement
 
 #: Default die seed, matching :func:`repro.sim.run.build_server`.
 DEFAULT_SEED_ROOT = 7
@@ -132,7 +127,7 @@ class SweepTask:
 
     #: Full scheduling decision (``scheduled`` kind).  Named to avoid
     #: colliding with the :meth:`placement` constructor.
-    placement_plan: Optional["Placement"] = None
+    placement_plan: Optional[Placement] = None
 
     #: Frequency target handed to the guardband policies.
     f_target: Optional[float] = None
@@ -192,7 +187,7 @@ class SweepTask:
     @classmethod
     def scheduled(
         cls,
-        placement: "Placement",
+        placement: Placement,
         profile: WorkloadProfile,
         mode: GuardbandMode,
         f_target: Optional[float] = None,
@@ -330,8 +325,6 @@ def _place(
             server.gate_unused(list(task.keep_on))
         share = SocketShare(task.share)
     elif task.kind == "scheduled":
-        from ..core.evaluate import apply_with_contention
-
         apply_with_contention(server, task.placement_plan, runtime)
         share = task.placement_plan.share_of(task.profile.name)
         threads_per_core_for_runtime = task.placement_plan.threads_per_core
@@ -506,8 +499,12 @@ def _pool_round(
     Fills ``outcomes`` for every payload that finished or raised.  A
     sandbox refusing the pool at start-up (``OSError`` etc.) propagates
     to :func:`fan_out` — that means "no pools here", not "this payload
-    failed".
+    failed".  The pool machinery is imported here, at the first pool, so
+    a process that never starts one never loads it.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     dead: List[int] = []
     pool = ProcessPoolExecutor(max_workers=min(max_workers, len(pending)))
     try:

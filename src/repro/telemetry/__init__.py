@@ -8,15 +8,10 @@ the simulator, so the analysis code consumes the same kind of data the
 paper's authors had.
 """
 
-from .amester import Amester, TelemetryRecord
-from .cpm_reader import CpmReadMode, CpmReader
-from .sensors import SensorReading, SocketSensors
+from ..lazy import lazy_exports
 
-__all__ = [
-    "Amester",
-    "CpmReadMode",
-    "CpmReader",
-    "SensorReading",
-    "SocketSensors",
-    "TelemetryRecord",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".amester": ("Amester", "TelemetryRecord"),
+    ".cpm_reader": ("CpmReadMode", "CpmReader"),
+    ".sensors": ("SensorReading", "SocketSensors"),
+})

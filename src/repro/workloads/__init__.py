@@ -7,37 +7,21 @@ those traits; :mod:`~repro.workloads.catalog` provides a calibrated profile
 for every PARSEC, SPLASH-2 and SPEC CPU2006 benchmark the paper measures.
 """
 
-from .catalog import (
-    PARSEC_BENCHMARKS,
-    SCALABLE_BENCHMARKS,
-    SPEC_BENCHMARKS,
-    SPLASH2_BENCHMARKS,
-    all_profiles,
-    get_profile,
-    profile_names,
-)
-from .phases import Phase, PhasedWorkload, bursty_envelope
-from .profile import WorkloadProfile
-from .scaling import RuntimeModel, SocketShare
-from .synthetic import coremark_profile, throttled_corunner
-from .websearch import QueryLatencyModel, WebSearchModel
+from ..lazy import lazy_exports
 
-__all__ = [
-    "PARSEC_BENCHMARKS",
-    "Phase",
-    "PhasedWorkload",
-    "bursty_envelope",
-    "QueryLatencyModel",
-    "RuntimeModel",
-    "SCALABLE_BENCHMARKS",
-    "SPEC_BENCHMARKS",
-    "SPLASH2_BENCHMARKS",
-    "SocketShare",
-    "WebSearchModel",
-    "WorkloadProfile",
-    "all_profiles",
-    "coremark_profile",
-    "get_profile",
-    "profile_names",
-    "throttled_corunner",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".catalog": (
+        "PARSEC_BENCHMARKS",
+        "SCALABLE_BENCHMARKS",
+        "SPEC_BENCHMARKS",
+        "SPLASH2_BENCHMARKS",
+        "all_profiles",
+        "get_profile",
+        "profile_names",
+    ),
+    ".phases": ("Phase", "PhasedWorkload", "bursty_envelope"),
+    ".profile": ("WorkloadProfile",),
+    ".scaling": ("RuntimeModel", "SocketShare"),
+    ".synthetic": ("coremark_profile", "throttled_corunner"),
+    ".websearch": ("QueryLatencyModel", "WebSearchModel"),
+})
