@@ -82,3 +82,12 @@ class DigitalPll:
         self._frequency = self._timing.quantize_frequency(
             self._timing.clamp_frequency(frequency)
         )
+
+    def restore(self, frequency: float) -> None:
+        """Put back an output a DPLL already produced, as it was.
+
+        Unlike :meth:`set_frequency` it neither clamps nor re-quantizes:
+        snapping a grid frequency down to the grid again can land a step
+        lower in floating point.
+        """
+        self._frequency = frequency

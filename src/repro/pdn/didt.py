@@ -69,6 +69,16 @@ class DidtNoiseModel:
         """The platform noise parameters."""
         return self._config
 
+    @property
+    def ripple_scale(self) -> float:
+        """Workload trait multiplying the platform ripple magnitude."""
+        return self._ripple_scale
+
+    @property
+    def droop_scale(self) -> float:
+        """Workload trait multiplying the platform droop magnitude."""
+        return self._droop_scale
+
     def typical_ripple(self, n_active_cores: int) -> float:
         """Typical-case ripple amplitude (V) with ``n_active_cores`` active.
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from ..chip import Power7Chip
 from ..config import ServerConfig
 from ..errors import SchedulingError
+from ..faults.injector import fault_injector
 from ..guardband import GuardbandController, GuardbandMode
 from ..guardband.controller import OperatingPoint
 from ..pdn import DidtNoiseModel
@@ -226,6 +227,12 @@ class Power720Server:
         this server settled at the same ``f_target`` straight after
         being built and placed: each socket's firmware loop starts from
         its static solution instead of solving it again.
+
+        A fault-free operate opens one memo of socket solves for the
+        call (:attr:`ProcessorSocket.solves`), so a socket whose solve
+        inputs equal one already made takes it instead of iterating.
+        Under a fault injector there is none: its hooks count per call
+        and target single rails.
         """
         if entry is None:
             entries = (None,) * len(self.controllers)
@@ -233,10 +240,17 @@ class Power720Server:
             entries = tuple(point.solution for point in entry.sockets)
         else:
             raise ValueError(f"entry= must be a static point, not {entry.mode!r}")
-        points = tuple(
-            controller.operate(mode, f_target, solution)
-            for controller, solution in zip(self.controllers, entries)
-        )
+        solves = None if fault_injector().enabled else {}
+        for socket in self.sockets:
+            socket.solves = solves
+        try:
+            points = tuple(
+                controller.operate(mode, f_target, solution)
+                for controller, solution in zip(self.controllers, entries)
+            )
+        finally:
+            for socket in self.sockets:
+                socket.solves = None
         return ServerOperatingPoint(
             mode=mode,
             sockets=points,

@@ -14,6 +14,13 @@ The servo iterates on continuous frequencies and quantizes to the DPLL's
 the quantizer inside the loop would invite limit cycles.  Convergence is
 asserted: a silently non-converged state would poison every figure
 downstream.
+
+Inside one fault-free server operate the two sockets share a memo of the
+solves made so far (:attr:`ProcessorSocket.solves`): the sockets of one
+server share config, PDN backend and floorplan, and a fault-free solve
+never reads the die's CPM bank, so a solve whose inputs equal an earlier
+one's takes that solution and its end state instead of iterating again.
+Loadline borrowing's even split makes that every second socket.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from ..chip import Power7Chip
 from ..chip.power import PowerBreakdown
 from ..config import ServerConfig
 from ..errors import ConvergenceError
+from ..obs import observability
 from ..pdn import DropBreakdown, PowerDeliveryPath
 from ..pdn.delivery import pairwise_sum
 
@@ -118,6 +126,11 @@ class ProcessorSocket:
         self.path = path
         self.config = config
         self.socket_id = socket_id
+        #: Solves made so far in the enclosing server operate, keyed by
+        #: their inputs (see :meth:`_inputs`); ``None`` outside one.
+        #: :meth:`repro.sim.server.Power720Server.operate` opens and
+        #: drops it.
+        self.solves: Optional[dict] = None
 
     def solve(
         self,
@@ -144,6 +157,11 @@ class ProcessorSocket:
         settle_thermal:
             Settle die temperature to the steady state of the settled power
             (outer loop); when ``False`` the current temperature is held.
+
+        With :attr:`solves` open, a solve whose inputs were solved before
+        in the same operate returns that solution and restores its end
+        state: the DPLL outputs, the die temperature and the rail's
+        current-sensor reading.
         """
         chip = self.chip
         n = chip.n_cores
@@ -156,6 +174,14 @@ class ProcessorSocket:
                 dpll.set_frequency(f)
 
         states = chip.core_states()
+        solves = self.solves
+        if solves is not None:
+            key = self._inputs(states, servo_margin, frequency_cap, settle_thermal)
+            made = solves.get(key)
+            if made is not None:
+                _count_solve("reused")
+                return self._restore(made, settle_thermal)
+        _count_solve("solved")
         occupancy = _Occupancy(
             activities=[s.activity for s in states],
             gated=[s.gated for s in states],
@@ -199,6 +225,9 @@ class ProcessorSocket:
             if converged:
                 solution = replace(solution, temperature=temperature)
                 break
+        if solves is not None:
+            path = self.path
+            solves[key] = (solution, path.vrm.sensed_current(path.rail))
         return solution
 
     def worst_cpm_codes(self, solution: SocketSolution) -> List[int]:
@@ -208,6 +237,42 @@ class ProcessorSocket:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _inputs(
+        self,
+        states: list,
+        servo_margin: Optional[float],
+        frequency_cap: Optional[float],
+        settle_thermal: bool,
+    ) -> tuple:
+        """What a fault-free solve reads that differs between the sockets
+        of one server: occupancy, DPLL outputs (after ``frequencies`` is
+        applied), die temperature, rail setpoint, the workload's noise
+        scales and the solve's arguments."""
+        noise = self.path.noise
+        return (
+            tuple((s.activity, s.gated, s.active) for s in states),
+            tuple(dpll.frequency for dpll in self.chip.dplls),
+            self.chip.thermal.temperature,
+            self.path.setpoint,
+            noise.ripple_scale,
+            noise.droop_scale,
+            servo_margin,
+            frequency_cap,
+            settle_thermal,
+        )
+
+    def _restore(self, made: tuple, settle_thermal: bool) -> SocketSolution:
+        """Take a memoized solve's solution and leave this socket in the
+        state that solve left its own."""
+        solution, sensed_current = made
+        chip = self.chip
+        for dpll, frequency in zip(chip.dplls, solution.frequencies):
+            dpll.restore(frequency)
+        if settle_thermal:
+            chip.thermal.settle(solution.die_power)
+        self.path.vrm.record_current(self.path.rail, sensed_current)
+        return solution
+
     def _iterate(
         self,
         occupancy: "_Occupancy",
@@ -293,6 +358,17 @@ class ProcessorSocket:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessorSocket(id={self.socket_id}, chip={self.chip!r})"
+
+
+def _count_solve(outcome: str) -> None:
+    observability().count(
+        "socket_solves_total",
+        help_text=(
+            "Socket electrical solves: fixed points iterated (solved) or "
+            "taken from an equal solve in the same server operate (reused)."
+        ),
+        outcome=outcome,
+    )
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,11 @@ def _fleet_result():
 
 class TestZeroPerturbation:
     def test_instrumented_fleet_run_is_bit_identical(self):
+        from repro.fleet.engine import clear_fleet_memos
+
         baseline = _fleet_result()
+        # Settle cold again, so the instrumented day solves sockets too.
+        clear_fleet_memos()
         obs = Observability(enabled=True)
         previous = install(obs)
         try:
@@ -51,6 +55,12 @@ class TestZeroPerturbation:
         # ... and the instrumentation actually ran.
         assert "fleet_epochs_total" in obs.metrics
         assert obs.tracer.find("fleet.run")
+        # Twin sockets were reused under instrumentation, and the log
+        # above is still the uninstrumented one.
+        solves = obs.metrics.get("socket_solves_total")
+        outcomes = {labels: child.value for labels, child in solves.children()}
+        assert outcomes[("solved",)] > 0
+        assert outcomes[("reused",)] > 0
 
     def test_cli_level_zero_perturbation(self, capsys, tmp_path):
         from repro.cli import main

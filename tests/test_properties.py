@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the core physical invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +11,12 @@ from repro.chip.power import PowerModel
 from repro.chip.timing import TimingModel
 from repro.config import ChipConfig, DidtConfig, PdnConfig, ServerConfig
 from repro.floorplan import Floorplan
+from repro.guardband import GuardbandMode
 from repro.guardband.undervolt import UndervoltPolicy
 from repro.pdn import DidtNoiseModel, IrDropNetwork
 from repro.pdn.backends import backend_names
 from repro.pdn.decomposition import DropDecomposer
+from repro.sim.run import build_server
 from repro.sim.server import Power720Server
 from repro.workloads.scaling import RuntimeModel, SocketShare
 from repro.workloads import get_profile, profile_names
@@ -129,6 +132,31 @@ class TestPdnProperties:
         assert result.ir_drop >= 0
         assert result.typical_didt >= 0
         assert result.worst_didt >= 0
+
+
+@pytest.mark.slow
+class TestSettledPassiveDrop:
+    """At settled points, the passive drop the busiest core sees (loadline
+    + shared IR + the worst local IR) never falls as the socket draws more
+    current.  ``TestPdnProperties`` checks the IR network alone; this is
+    the settled whole, consolidated 1–8 threads of every profile."""
+
+    @pytest.mark.parametrize("mode", tuple(GuardbandMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_monotone_in_chip_current(self, backend, mode):
+        config = ServerConfig(pdn_backend=backend)
+        for name in profile_names():
+            settled = []
+            for n_threads in range(1, config.chip.n_cores + 1):
+                server = build_server(config)
+                server.place(0, get_profile(name), n_threads)
+                solution = server.operate(mode).socket_point(0).solution
+                drops = solution.drops
+                passive = drops.loadline + drops.ir_shared + max(drops.ir_local)
+                settled.append((solution.chip_current, passive, n_threads))
+            settled.sort()
+            for low, high in zip(settled, settled[1:]):
+                assert high[1] >= low[1], (name, low, high)
 
 
 class TestRuntimeProperties:
