@@ -59,10 +59,15 @@ class TimingModel:
         """Snap ``frequency`` down to the DPLL's 28 MHz step grid.
 
         Rounding *down* is the safe direction: the quantized frequency never
-        requires more voltage than the requested one.
+        requires more voltage than the requested one.  A grid point comes
+        back unchanged, so snapping is idempotent also on a step that is
+        not a whole number of hertz, where ``frequency / f_step`` can fall
+        just below the point's step count.
         """
-        steps = int(frequency / self._config.f_step)
-        return steps * self._config.f_step
+        step = self._config.f_step
+        if frequency == round(frequency / step) * step:
+            return frequency
+        return int(frequency / step) * step
 
     def clamp_frequency(self, frequency: float) -> float:
         """Clamp ``frequency`` into the DPLL's operating range."""

@@ -19,8 +19,10 @@ seed)``: the executor always settles on *fresh* servers (same die seed
 for every task — the paper measures one physical machine), one per mode,
 or one for a static + undervolt pair whose firmware loop starts from the
 static settle, which is what a second fresh server would have solved
-first.  Results are bit-identical whether tasks run serially, in any
-parallel interleaving, or from cache.  Tasks that need their own random
+first.  A batch's fresh servers share one memo of socket solves, so a
+socket state already solved in the batch is taken, not iterated.
+Results are bit-identical whether tasks run serially, in any parallel
+interleaving, or from cache.  Tasks that need their own random
 stream (e.g. the Fig. 9 droop-window sampling) derive it with
 :func:`derive_seed` — ``seed_root`` plus a stable task hash — so the
 stream no longer depends on execution order.
@@ -354,22 +356,41 @@ def _place(
     return steady
 
 
+def _fresh_server(
+    config: ServerConfig, seed: int, solves: Optional[dict]
+) -> Power720Server:
+    """A fresh server whose socket solves go to ``solves`` (its batch's
+    memo), or to its own memo when ``solves`` is ``None``."""
+    server = build_server(config, seed=seed)
+    if solves is not None:
+        server.solves = solves
+    return server
+
+
 def _settle_mode(
-    config: ServerConfig, seed: int, task: SweepTask, mode: GuardbandMode
+    config: ServerConfig,
+    seed: int,
+    task: SweepTask,
+    mode: GuardbandMode,
+    solves: Optional[dict] = None,
 ) -> SteadyState:
     """Settle one mode of one task on a fresh server.
 
     Always starting from a fresh server makes the result a pure function
     of the arguments — the property the cache and the parallel schedule
-    both rely on.  The reference for :func:`_settle_mode_pair`, and the
+    both rely on (a shared ``solves`` memo only skips iterating a solve
+    already made).  The reference for :func:`_settle_mode_pair`, and the
     path for every mode it does not cover.
     """
-    server = build_server(config, seed=seed)
+    server = _fresh_server(config, seed, solves)
     return settle_task(server, task, _runtime_model(task.runtime_params), (mode,))[0]
 
 
 def _settle_mode_pair(
-    config: ServerConfig, seed: int, task: SweepTask
+    config: ServerConfig,
+    seed: int,
+    task: SweepTask,
+    solves: Optional[dict] = None,
 ) -> Dict[str, SteadyState]:
     """Settle STATIC and UNDERVOLT of one task on one fresh server.
 
@@ -381,7 +402,7 @@ def _settle_mode_pair(
     runs on the server in between.  Fault-free only (see
     :func:`_execute_task`).
     """
-    server = build_server(config, seed=seed)
+    server = _fresh_server(config, seed, solves)
     steady = _place(server, task, _runtime_model(task.runtime_params))
     static = server.operate(GuardbandMode.STATIC, task.f_target)
     undervolt = server.operate(GuardbandMode.UNDERVOLT, task.f_target, entry=static)
@@ -392,7 +413,9 @@ def _settle_mode_pair(
 
 
 def _execute_task(
-    payload: Tuple[ServerConfig, int, SweepTask, Tuple[GuardbandMode, ...]],
+    payload: Tuple[
+        ServerConfig, int, SweepTask, Tuple[GuardbandMode, ...], Optional[dict]
+    ],
     attempt: int,
 ) -> Tuple[Dict[str, SteadyState], float]:
     """Worker entry point: settle the missing modes of one task.
@@ -407,16 +430,25 @@ def _execute_task(
     and any batch under an installed fault injector (whose fallback and
     calibration state carry across operates) settle one fresh server
     per mode.  Either way the states come back in the requested order.
+
+    ``solves`` is the batch's memo of socket solves: every server the
+    batch builds shares it, so a socket state another task already
+    solved is taken, not iterated (``None`` under an injector).  The
+    servers all come from the batch's one config and die seed, which
+    is why neither is in the memo's key.  A pool worker unpickles an
+    empty copy per task, so it reuses only within that task; its
+    results are the same.
     """
-    config, seed, task, modes = payload
+    config, seed, task, modes, solves = payload
     start = time.perf_counter()
     fused = {GuardbandMode.STATIC, GuardbandMode.UNDERVOLT}
     if set(modes) == fused and not fault_injector().enabled:
-        pair = _settle_mode_pair(config, seed, task)
+        pair = _settle_mode_pair(config, seed, task, solves)
         states = {mode.value: pair[mode.value] for mode in modes}
     else:
         states = {
-            mode.value: _settle_mode(config, seed, task, mode) for mode in modes
+            mode.value: _settle_mode(config, seed, task, mode, solves)
+            for mode in modes
         }
     return states, time.perf_counter() - start
 
@@ -506,6 +538,7 @@ def _pool_round(
     from concurrent.futures.process import BrokenProcessPool
 
     dead: List[int] = []
+    resolved = False
     pool = ProcessPoolExecutor(max_workers=min(max_workers, len(pending)))
     try:
         futures = []
@@ -521,10 +554,17 @@ def _pool_round(
                 dead.append(index)
             except Exception as exc:  # noqa: BLE001 - returned to the caller
                 outcomes[index] = exc
+        resolved = not dead
     finally:
-        # Not ``with``: shutdown must not wait on a wedged worker, and
-        # cancel_futures sheds anything still queued behind a failure.
-        pool.shutdown(wait=False, cancel_futures=True)
+        if resolved:
+            # Every future resolved: wait for the pool's manager thread,
+            # so interpreter exit finds no live pool to wake through an
+            # already-closed pipe.
+            pool.shutdown(wait=True)
+        else:
+            # A broken pool or an exception: shutdown must not wait on a
+            # wedged worker, and cancel_futures sheds anything queued.
+            pool.shutdown(wait=False, cancel_futures=True)
     return sorted(dead)
 
 
@@ -731,11 +771,18 @@ class SweepRunner:
             # batches under injection stay in-process to keep the faults
             # (and the results) coherent.
             workers = self.max_workers
-            if workers > 1 and fault_injector().enabled:
+            guarded = fault_injector().enabled
+            if guarded:
                 workers = 1
+            # One memo of socket solves for the batch's servers; it dies
+            # with the batch (see _execute_task).
+            solves = None if guarded else {}
             outcomes, reruns, used_processes = fan_out(
                 _execute_task,
-                [(cfg, seed, tasks[index], modes) for index, modes in pending],
+                [
+                    (cfg, seed, tasks[index], modes, solves)
+                    for index, modes in pending
+                ],
                 workers,
             )
             if max(reruns):

@@ -83,6 +83,13 @@ class Power720Server:
         #: layers (e.g. the batch sweep runner) can rebuild an electrically
         #: identical server and return bit-identical operating points.
         self.seed = seed
+        #: Socket solves made on this server, keyed by their inputs
+        #: (:meth:`ProcessorSocket._inputs`): every fault-free
+        #: :meth:`operate` hands it to the sockets, so a solve repeated
+        #: in a later operate is taken, not iterated.  Servers built from
+        #: one config and die seed may share one dict (a sweep batch's
+        #: servers do, see :func:`repro.sim.batch._execute_task`).
+        self.solves: dict = {}
         backend = get_backend(self.config.pdn_backend)
         self.vrm = backend.build_vrm(
             self.config.pdn, n_rails=self.config.n_sockets
@@ -228,10 +235,10 @@ class Power720Server:
         being built and placed: each socket's firmware loop starts from
         its static solution instead of solving it again.
 
-        A fault-free operate opens one memo of socket solves for the
+        A fault-free operate hands :attr:`solves` to the sockets for the
         call (:attr:`ProcessorSocket.solves`), so a socket whose solve
         inputs equal one already made takes it instead of iterating.
-        Under a fault injector there is none: its hooks count per call
+        Under a fault injector there is no memo: its hooks count per call
         and target single rails.
         """
         if entry is None:
@@ -240,7 +247,7 @@ class Power720Server:
             entries = tuple(point.solution for point in entry.sockets)
         else:
             raise ValueError(f"entry= must be a static point, not {entry.mode!r}")
-        solves = None if fault_injector().enabled else {}
+        solves = None if fault_injector().enabled else self.solves
         for socket in self.sockets:
             socket.solves = solves
         try:

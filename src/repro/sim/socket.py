@@ -15,12 +15,14 @@ the quantizer inside the loop would invite limit cycles.  Convergence is
 asserted: a silently non-converged state would poison every figure
 downstream.
 
-Inside one fault-free server operate the two sockets share a memo of the
-solves made so far (:attr:`ProcessorSocket.solves`): the sockets of one
-server share config, PDN backend and floorplan, and a fault-free solve
-never reads the die's CPM bank, so a solve whose inputs equal an earlier
-one's takes that solution and its end state instead of iterating again.
-Loadline borrowing's even split makes that every second socket.
+In a fault-free server operate the sockets share a memo of the solves
+made so far (:attr:`ProcessorSocket.solves`), kept for the server's life
+and shared by every server one sweep batch builds: all of those sockets
+share config, PDN backend and floorplan, and a fault-free solve never
+reads the die's CPM bank, so a solve whose inputs equal an earlier one's
+takes that solution and its end state instead of iterating again.
+Loadline borrowing's even split makes that every second socket, and a
+batch's consolidated placements repeat the same idle socket.
 """
 
 from __future__ import annotations
@@ -126,10 +128,10 @@ class ProcessorSocket:
         self.path = path
         self.config = config
         self.socket_id = socket_id
-        #: Solves made so far in the enclosing server operate, keyed by
-        #: their inputs (see :meth:`_inputs`); ``None`` outside one.
-        #: :meth:`repro.sim.server.Power720Server.operate` opens and
-        #: drops it.
+        #: Solves made so far on this server (or its sweep batch), keyed
+        #: by their inputs (see :meth:`_inputs`); ``None`` outside a
+        #: fault-free operate.  :meth:`repro.sim.server.Power720Server.
+        #: operate` hands the server's memo in and takes it back.
         self.solves: Optional[dict] = None
 
     def solve(
@@ -159,8 +161,8 @@ class ProcessorSocket:
             (outer loop); when ``False`` the current temperature is held.
 
         With :attr:`solves` open, a solve whose inputs were solved before
-        in the same operate returns that solution and restores its end
-        state: the DPLL outputs, the die temperature and the rail's
+        on the server or in its batch returns that solution and restores
+        its end state: the DPLL outputs, the die temperature and the rail's
         current-sensor reading.
         """
         chip = self.chip
@@ -245,7 +247,8 @@ class ProcessorSocket:
         settle_thermal: bool,
     ) -> tuple:
         """What a fault-free solve reads that differs between the sockets
-        of one server: occupancy, DPLL outputs (after ``frequencies`` is
+        of one server, or of the servers one batch builds from one config
+        and die seed: occupancy, DPLL outputs (after ``frequencies`` is
         applied), die temperature, rail setpoint, the workload's noise
         scales and the solve's arguments."""
         noise = self.path.noise
@@ -365,7 +368,8 @@ def _count_solve(outcome: str) -> None:
         "socket_solves_total",
         help_text=(
             "Socket electrical solves: fixed points iterated (solved) or "
-            "taken from an equal solve in the same server operate (reused)."
+            "taken from an equal earlier solve on the same server or in "
+            "the same sweep batch (reused)."
         ),
         outcome=outcome,
     )

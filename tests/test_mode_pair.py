@@ -56,7 +56,7 @@ def _outcome(fn, *args):
 
 
 def _fused(config, seed, task, modes):
-    return _execute_task((config, seed, task, modes), 0)[0]
+    return _execute_task((config, seed, task, modes, {}), 0)[0]
 
 
 def _config(backend="power7", age_years=None):

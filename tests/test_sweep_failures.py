@@ -3,6 +3,8 @@
 import functools
 import multiprocessing
 import os
+import threading
+from concurrent.futures.process import _ExecutorManagerThread
 
 import pytest
 
@@ -127,3 +129,38 @@ class TestWorkerDeath:
         assert report.used_processes
         assert list(report.results) == expected
         assert retried.labels(layer="sweep").value == 1
+
+
+def _negate(payload, attempt):
+    if payload == 0:
+        raise ValueError("zero")
+    return -payload
+
+
+def _manager_threads():
+    return {
+        thread
+        for thread in threading.enumerate()
+        if isinstance(thread, _ExecutorManagerThread)
+    }
+
+
+@pytest.mark.usefixtures("require_pools")
+class TestPoolTeardown:
+    """A pool whose futures all resolved is shut down with ``wait=True``:
+    its manager thread is gone when :func:`fan_out` returns, so
+    interpreter exit finds no pool to wake through a closed pipe."""
+
+    @pytest.mark.parametrize("payloads", [(1, 2, 3), (1, 0, 3)],
+                             ids=["all_return", "one_raises"])
+    def test_the_manager_thread_is_gone_on_return(self, payloads):
+        before = _manager_threads()
+        outcomes, reruns, used_processes = batch.fan_out(_negate, payloads, 2)
+        assert used_processes
+        assert reruns == [0, 0, 0]
+        for payload, outcome in zip(payloads, outcomes):
+            if payload:
+                assert outcome == -payload
+            else:
+                assert isinstance(outcome, ValueError)
+        assert not _manager_threads() - before

@@ -1,8 +1,31 @@
 """Timing model: the Vmin(f) wall, margins, and the servo inverse."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.chip.timing import TimingModel
+from repro.config import ChipConfig
+
+#: DPLL steps that are not a whole number of hertz.
+ODD_STEPS = {"1/36_GHz": 1e9 / 36, "1/3_MHz": 1e6 / 3}
+
+FREQUENCIES = st.floats(min_value=1e9, max_value=6e9)
+
+
+def _timing(f_step=None):
+    config = ChipConfig()
+    if f_step is not None:
+        config = dataclasses.replace(config, f_step=f_step)
+    return TimingModel(config)
+
+
+def _grid_points(f_step):
+    return st.integers(int(1e9 / f_step), int(6e9 / f_step)).map(
+        lambda k: k * f_step
+    )
 
 
 @pytest.fixture
@@ -63,6 +86,36 @@ class TestQuantization:
         quantized = timing.quantize_frequency(4.333e9)
         steps = quantized / chip_config.f_step
         assert steps == pytest.approx(round(steps))
+
+    @pytest.mark.parametrize("name", sorted(ODD_STEPS))
+    @given(data=st.data())
+    def test_idempotent_on_an_odd_grid(self, name, data):
+        f_step = ODD_STEPS[name]
+        frequency = data.draw(FREQUENCIES | _grid_points(f_step))
+        timing = _timing(f_step)
+        once = timing.quantize_frequency(frequency)
+        assert timing.quantize_frequency(once) == once
+
+    @pytest.mark.parametrize("name", sorted(ODD_STEPS))
+    @given(data=st.data())
+    def test_a_grid_point_is_kept(self, name, data):
+        f_step = ODD_STEPS[name]
+        point = data.draw(_grid_points(f_step))
+        assert _timing(f_step).quantize_frequency(point) == point
+
+    def test_the_point_112_steps_up_a_1_36_ghz_grid_is_kept(self):
+        # int(f / f_step) snaps this point to step 111.
+        f_step = ODD_STEPS["1/36_GHz"]
+        point = 112 * f_step
+        assert int(point / f_step) == 111
+        assert _timing(f_step).quantize_frequency(point) == point
+
+    @given(frequency=FREQUENCIES | _grid_points(ChipConfig().f_step))
+    def test_the_default_grid_keeps_the_floor_formula(self, frequency):
+        f_step = ChipConfig().f_step
+        assert _timing().quantize_frequency(frequency) == (
+            int(frequency / f_step) * f_step
+        )
 
     def test_clamp_to_floor(self, timing, chip_config):
         assert timing.clamp_frequency(1e9) == chip_config.f_min
